@@ -1,77 +1,26 @@
 """Integer dynamic-programming kernels shared by the metrics.
 
-Two interchangeable backends compute bit-identical results:
-
-* ``numba``: ``@njit``-compiled loops, the default whenever numba imports.
-* ``numpy``: vectorized row updates, no compilation step.
-
-Set ``MTMETRICS_BACKEND=numba`` or ``MTMETRICS_BACKEND=numpy`` to force one;
-the variable is read once, on first kernel call. Both kernels work on int64
-arrays only, so backend choice can never change a score.
+Both kernels are numpy row updates over int64 arrays: integer arithmetic
+only, so results are exact. Plain-list reference versions of the same
+recurrences live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is installed in normal setups
-    HAVE_NUMBA = False
 
 # Sentinel for "no feasible assignment". Costs are bounded by len^2 per pair,
 # so INF + cost stays far below the int64 limit.
 _INF = np.int64(2) ** 62
 
-_ACTIVE_BACKEND: str | None = None
-
-
-def _resolve_backend(name: str | None) -> str:
-    if not name:
-        return "numba" if HAVE_NUMBA else "numpy"
-    name = name.strip().lower()
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise ValueError("MTMETRICS_BACKEND=numba but numba is not importable")
-        return "numba"
-    raise ValueError(f"MTMETRICS_BACKEND must be 'numba' or 'numpy', got {name!r}")
-
 
 def active_backend() -> str:
-    global _ACTIVE_BACKEND
-    if _ACTIVE_BACKEND is None:
-        _ACTIVE_BACKEND = _resolve_backend(os.environ.get("MTMETRICS_BACKEND"))
-    return _ACTIVE_BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def _lcs_loops(a, b):
-    n = a.size
-    m = b.size
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        ai = a[i]
-        for j in range(1, m + 1):
-            if b[j - 1] == ai:
-                best = prev[j - 1] + 1
-            else:
-                best = prev[j]
-            if cur[j - 1] > best:
-                best = cur[j - 1]
-            cur[j] = best
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def _lcs_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def lcs_length_codes(a: np.ndarray, b: np.ndarray) -> int:
+    """LCS length of two int64 code arrays."""
     # Row recurrence cur[j] = max(prev[j], prev[j-1] + eq, cur[j-1]); the
     # cur[j-1] chain collapses into a running maximum over the row.
     if a.size == 0 or b.size == 0:
@@ -83,44 +32,15 @@ def _lcs_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[-1])
 
 
-def _select_loops(small, big):
-    # Order-preserving min-cost assignment of every element of `small` to a
-    # distinct element of `big` (both ascending), cost |small[i] - big[j]|.
+def ordered_selection(small: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """Min-cost order-preserving assignment of `small` into `big`.
+
+    Requires 1 <= small.size <= big.size and both arrays ascending. Returns,
+    for each small element, the index of its assigned big element; on equal
+    cost the earliest big slot wins.
+    """
     # Suffix DP h[i][j] = cheapest completion for small[i:] against big[j:],
     # then a forward pass that prefers matching the earliest big slot on ties.
-    p = small.size
-    q = big.size
-    h = np.full((p + 1, q + 1), _INF, dtype=np.int64)
-    for j in range(q + 1):
-        h[p, j] = 0
-    for i in range(p - 1, -1, -1):
-        si = small[i]
-        for j in range(q - 1, -1, -1):
-            c = si - big[j]
-            if c < 0:
-                c = -c
-            via = h[i + 1, j + 1]
-            if via < _INF:
-                via = via + c
-            best = h[i, j + 1]
-            if via < best:
-                best = via
-            h[i, j] = best
-    choice = np.empty(p, dtype=np.int64)
-    i = 0
-    j = 0
-    while i < p:
-        c = small[i] - big[j]
-        if c < 0:
-            c = -c
-        if h[i + 1, j + 1] < _INF and h[i + 1, j + 1] + c <= h[i, j + 1]:
-            choice[i] = j
-            i += 1
-        j += 1
-    return choice
-
-
-def _select_numpy(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     p = small.size
     q = big.size
     h = np.full((p + 1, q + 1), _INF, dtype=np.int64)
@@ -140,26 +60,3 @@ def _select_numpy(small: np.ndarray, big: np.ndarray) -> np.ndarray:
             i += 1
         j += 1
     return choice
-
-
-if HAVE_NUMBA:
-    _lcs_numba = njit(cache=True, nogil=True)(_lcs_loops)
-    _select_numba = njit(cache=True, nogil=True)(_select_loops)
-
-
-def lcs_length_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """LCS length of two int64 code arrays."""
-    if active_backend() == "numba":
-        return int(_lcs_numba(a, b))
-    return _lcs_numpy(a, b)
-
-
-def ordered_selection(small: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """Min-cost order-preserving assignment of `small` into `big`.
-
-    Requires 1 <= small.size <= big.size and both arrays ascending. Returns,
-    for each small element, the index of its assigned big element.
-    """
-    if active_backend() == "numba":
-        return _select_numba(small, big)
-    return _select_numpy(small, big)

@@ -3,17 +3,14 @@
 Runs any subset of the metrics over line-aligned files (or a two-column
 TSV), emits before/after comparison tables with improvement rates, and
 computes per-task winner matrices with pairwise metric-agreement
-statistics. All aggregation uses a fixed fold order and segment scoring is
-side-effect free, so sequential and threaded runs produce byte-identical
-reports.
+statistics. Segments are scored one after another and every aggregate
+folds in segment order, so identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
@@ -31,15 +28,6 @@ METRICS = ("bleu", "hlepor", "meteor", "rouge-l")
 TIE = "TIE"
 
 _SCALES = {"bleu": "0-100", "hlepor": "0-100", "meteor": "0-1", "rouge-l": "0-1"}
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("MTMETRICS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"MTMETRICS_THREADS must be an integer, got {raw!r}") from None
-    return max(value, 0)
 
 
 def _fmt_num(x: float) -> str:
@@ -205,8 +193,7 @@ def _validated_metrics(metrics: Iterable[str]) -> tuple[str, ...]:
 
 def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
                    metrics: Iterable[str] = METRICS,
-                   config: EvalConfig | None = None,
-                   threads: int | None = None) -> EvaluationReport:
+                   config: EvalConfig | None = None) -> EvaluationReport:
     """Score in-memory segment pairs. See ``evaluate_corpus`` for files."""
     if config is None:
         config = EvalConfig()
@@ -219,8 +206,6 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
         )
     if not hyp_list:
         raise InputError("empty corpus")
-    if threads is None:
-        threads = _env_threads()
 
     hyp_seqs = [tokenize(text, config.tokenizer) for text in hyp_list]
     ref_seqs = [tokenize(text, config.tokenizer) for text in ref_list]
@@ -255,12 +240,7 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
                 ).score
         return row
 
-    indices = range(len(hyp_list))
-    if threads >= 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(score_segment, indices))
-    else:
-        rows = [score_segment(i) for i in indices]
+    rows = [score_segment(i) for i in range(len(hyp_list))]
 
     results: dict[str, MetricResult] = {}
     bleu_report = None
@@ -297,8 +277,7 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
 
 def evaluate_corpus(hyp_file, ref_file,
                     metrics: Iterable[str] = METRICS,
-                    config: EvalConfig | None = None,
-                    threads: int | None = None) -> EvaluationReport:
+                    config: EvalConfig | None = None) -> EvaluationReport:
     """Score two line-aligned UTF-8 files against each other."""
     hyps = read_lines(hyp_file)
     refs = read_lines(ref_file)
@@ -307,7 +286,7 @@ def evaluate_corpus(hyp_file, ref_file,
             f"line count mismatch: {hyp_file} has {len(hyps)} lines, "
             f"{ref_file} has {len(refs)} lines"
         )
-    return evaluate_pairs(hyps, refs, metrics, config, threads)
+    return evaluate_pairs(hyps, refs, metrics, config)
 
 
 def round_half_up(value: float, decimals: int) -> float:
@@ -356,12 +335,11 @@ class ComparisonReport:
 
 def compare_files(before_file, after_file, ref_file,
                   metrics: Iterable[str] = METRICS,
-                  config: EvalConfig | None = None,
-                  threads: int | None = None) -> ComparisonReport:
+                  config: EvalConfig | None = None) -> ComparisonReport:
     """Score two systems against one reference and rate the change."""
     metric_ids = _validated_metrics(metrics)
-    before_report = evaluate_corpus(before_file, ref_file, metric_ids, config, threads)
-    after_report = evaluate_corpus(after_file, ref_file, metric_ids, config, threads)
+    before_report = evaluate_corpus(before_file, ref_file, metric_ids, config)
+    after_report = evaluate_corpus(after_file, ref_file, metric_ids, config)
     rows = []
     for metric_id in metric_ids:
         before = before_report.metrics[metric_id].corpus

@@ -8,9 +8,12 @@ rules are frozen and fixture-tested:
     scoring scripts. In order: newlines become spaces; the four HTML
     entities ``&quot; &amp; &lt; &gt;`` are unescaped; every printable
     ASCII character that is not a letter, digit, period, comma, or dash is
-    split off; period and comma are split off unless the neighbour on that
-    side is a digit; a dash is split off when preceded by a digit; finally
-    whitespace runs collapse and the text is split on spaces.
+    split off; a period or comma preceded by a non-digit is split off on
+    both sides, and so is one followed by a non-digit; a dash is split off
+    when preceded by a digit; finally whitespace runs collapse and the text
+    is split on spaces. Each rule is one regex pass whose matches do not
+    overlap, as in mteval-v13a and sacreBLEU, so of two adjacent marks the
+    second can stay attached: ``..0`` gives ``.`` and ``.0``.
 ``whitespace``
     Split on whitespace runs only.
 ``none``

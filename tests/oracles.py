@@ -1,10 +1,11 @@
-"""Independent brute-force oracles used to cross-check the metric kernels.
+"""Independent oracles used to cross-check the metrics and their kernels.
 
-Everything in this module is deliberately naive: plain loops, exhaustive
-enumeration, exact integer arithmetic. Nothing here imports from the
-package under test.
+Everything in this module is deliberately naive: plain loops over lists,
+exhaustive enumeration, exact integer arithmetic. Nothing here imports
+from the package under test, nor numpy.
 """
 
+import math
 from itertools import combinations
 
 
@@ -79,3 +80,43 @@ def bf_best_matching(hyp, ref):
 def scaled_matching_cost(pairs, hyp_len, ref_len):
     """Scaled cost of a concrete pair list, comparable to bf_best_matching."""
     return sum(abs(i * ref_len - j * hyp_len) for i, j in pairs)
+
+
+def dp_lcs(a, b):
+    """LCS length by the textbook two-row dynamic program.
+
+    Polynomial, so it checks the kernel on sizes subsequence enumeration
+    cannot reach.
+    """
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def dp_ordered_selection(small, big):
+    """Order-preserving min-cost assignment of every `small` value to a
+    distinct `big` slot (both ascending), cost |small[i] - big[j]|.
+
+    Suffix table h[i][j] = cheapest completion of small[i:] into big[j:];
+    the forward pass takes slot j whenever that stays optimal, so among
+    optimal assignments the earliest slots win. Returns the slot indices.
+    """
+    p, q = len(small), len(big)
+    h = [[math.inf] * (q + 1) for _ in range(p)] + [[0] * (q + 1)]
+    for i in range(p - 1, -1, -1):
+        for j in range(q - 1, -1, -1):
+            h[i][j] = min(h[i + 1][j + 1] + abs(small[i] - big[j]), h[i][j + 1])
+    choice = []
+    j = 0
+    while len(choice) < p:
+        i = len(choice)
+        # h[i][j] stays finite on this path, so the two sides are never
+        # both infinite and an infeasible move never wins.
+        if h[i + 1][j + 1] + abs(small[i] - big[j]) <= h[i][j + 1]:
+            choice.append(j)
+        j += 1
+    return choice

@@ -280,14 +280,6 @@ def test_segment_bleu_forces_exp_smoothing():
     assert "seg-bleu:exp" in report.signature
 
 
-def test_sequential_and_parallel_runs_identical():
-    hyps = [f"word{i} common tail piece" for i in range(40)]
-    refs = [f"word{i} common tail bit" for i in range(40)]
-    seq = evaluate_pairs(hyps, refs, METRICS, threads=0)
-    par = evaluate_pairs(hyps, refs, METRICS, threads=8)
-    assert render_report(seq, "json") == render_report(par, "json")
-
-
 def test_compare_identical_files_all_rates_zero(tmp_path):
     lines = ["the cat sat on the mat", "a dog ran"]
     before = write_lines(tmp_path / "before.txt", lines)
@@ -322,22 +314,6 @@ def test_compare_zero_base_rate_is_none(tmp_path):
     assert comparison.rows[0].before == 0.0
     assert comparison.rows[0].rate_percent is None
     assert "n/a" in render_report(comparison, "table")
-
-
-def test_threads_env_variable_respected(tmp_path, monkeypatch):
-    hyps = ["a b c", "c b a", "b b b"]
-    refs = ["a b c", "a b c", "a b c"]
-    monkeypatch.setenv("MTMETRICS_THREADS", "4")
-    from_env = evaluate_pairs(hyps, refs, METRICS)
-    monkeypatch.setenv("MTMETRICS_THREADS", "0")
-    sequential = evaluate_pairs(hyps, refs, METRICS)
-    assert render_report(from_env, "json") == render_report(sequential, "json")
-
-
-def test_threads_env_variable_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("MTMETRICS_THREADS", "many")
-    with pytest.raises(InputError, match="MTMETRICS_THREADS"):
-        evaluate_pairs(["a"], ["a"], ("rouge-l",))
 
 
 # --- rendering --------------------------------------------------------------

@@ -1,12 +1,10 @@
 import random
+from itertools import combinations
 
 import numpy as np
-import pytest
 
-from mtmetrics import _kernels
-from oracles import bf_best_matching, bf_lcs
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+from mtmetrics._kernels import lcs_length_codes, ordered_selection
+from oracles import bf_best_matching, bf_lcs, dp_lcs, dp_ordered_selection
 
 
 def random_codes(rng, max_len=12, vocab=4):
@@ -16,35 +14,36 @@ def random_codes(rng, max_len=12, vocab=4):
     )
 
 
-@needs_numba
-def test_lcs_backends_agree():
-    rng = random.Random(11)
-    for _ in range(300):
-        a = random_codes(rng)
-        b = random_codes(rng)
-        assert _kernels._lcs_numba(a, b) == _kernels._lcs_numpy(a, b)
-
-
 def test_lcs_numpy_matches_enumeration():
     rng = random.Random(13)
     for _ in range(200):
         a = random_codes(rng, max_len=8, vocab=3)
         b = random_codes(rng, max_len=8, vocab=3)
-        assert _kernels._lcs_numpy(a, b) == bf_lcs(list(a), list(b))
+        assert lcs_length_codes(a, b) == bf_lcs(list(a), list(b))
+
+
+def test_lcs_matches_reference_dp():
+    rng = random.Random(11)
+    for _ in range(300):
+        vocab = rng.choice((2, 4, 12, 60))
+        a = random_codes(rng, max_len=40, vocab=vocab)
+        b = random_codes(rng, max_len=80, vocab=vocab)
+        assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
+        assert lcs_length_codes(b, a) == dp_lcs(b.tolist(), a.tolist())
 
 
 def selection_cost(small, big, choice):
     return sum(abs(int(small[i]) - int(big[int(j)])) for i, j in enumerate(choice))
 
 
-def brute_force_selection_cost(small, big):
-    from itertools import combinations
-
+def brute_force_selection(small, big):
+    """Cheapest slot tuple; combinations() runs in lexicographic order, so
+    on equal cost the earliest slots win."""
     best = None
     for idxs in combinations(range(big.size), small.size):
         cost = sum(abs(int(small[i]) - int(big[j])) for i, j in enumerate(idxs))
-        if best is None or cost < best:
-            best = cost
+        if best is None or cost < best[0]:
+            best = (cost, list(idxs))
     return best
 
 
@@ -52,17 +51,18 @@ def random_ascending(rng, low, high, size):
     return np.array(sorted(rng.sample(range(low, high), size)), dtype=np.int64)
 
 
-@needs_numba
-def test_selection_backends_agree():
+def test_selection_matches_reference_dp():
     rng = random.Random(17)
     for _ in range(300):
-        q = rng.randint(1, 8)
-        p = rng.randint(1, q)
-        big = random_ascending(rng, 0, 50, q)
-        small = random_ascending(rng, 0, 50, p)
-        numba_choice = _kernels._select_numba(small, big)
-        numpy_choice = _kernels._select_numpy(small, big)
-        assert list(numba_choice) == list(numpy_choice)
+        q = rng.randint(1, 80)
+        p = rng.randint(1, min(q, 40))
+        # Scaled positions as align() builds them: i * len(ref) against
+        # j * len(hyp), which makes equal-cost ties common.
+        lh, lr = rng.randint(p, 2 * q), rng.randint(q, 2 * q)
+        small = np.array(sorted(rng.sample(range(lh), p)), dtype=np.int64) * lr
+        big = np.array(sorted(rng.sample(range(lr), q)), dtype=np.int64) * lh
+        expected = dp_ordered_selection(small.tolist(), big.tolist())
+        assert ordered_selection(small, big).tolist() == expected
 
 
 def test_selection_is_minimal():
@@ -72,35 +72,23 @@ def test_selection_is_minimal():
         p = rng.randint(1, q)
         big = random_ascending(rng, 0, 40, q)
         small = random_ascending(rng, 0, 40, p)
-        choice = _kernels._select_numpy(small, big)
+        choice = ordered_selection(small, big)
+        cost, earliest = brute_force_selection(small, big)
         assert sorted(set(int(c) for c in choice)) == sorted(int(c) for c in choice)
-        assert selection_cost(small, big, choice) == brute_force_selection_cost(small, big)
+        assert selection_cost(small, big, choice) == cost
+        assert choice.tolist() == earliest
 
 
 def test_selection_prefers_earliest_on_ties():
     small = np.array([2], dtype=np.int64)
     big = np.array([0, 4], dtype=np.int64)
-    assert list(_kernels._select_numpy(small, big)) == [0]
-    if _kernels.HAVE_NUMBA:
-        assert list(_kernels._select_numba(small, big)) == [0]
-
-
-def test_resolve_backend():
-    assert _kernels._resolve_backend(None) in ("numba", "numpy")
-    assert _kernels._resolve_backend("numpy") == "numpy"
-    assert _kernels._resolve_backend(" NumPy ") == "numpy"
-    with pytest.raises(ValueError):
-        _kernels._resolve_backend("cython")
-
-
-@needs_numba
-def test_resolve_backend_numba():
-    assert _kernels._resolve_backend("numba") == "numba"
+    assert ordered_selection(small, big).tolist() == [0]
+    assert dp_ordered_selection([2], [0, 4]) == [0]
 
 
 def test_alignment_oracle_through_public_dispatch():
-    # End-to-end: dispatching kernel drives mtmetrics.align; compare against
-    # the exhaustive matcher.
+    # End-to-end: the selection kernel drives mtmetrics.align; compare
+    # against the exhaustive matcher.
     from mtmetrics.hlepor import align
     from oracles import scaled_matching_cost
 

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mtmetrics.textnorm import (
     NGramProfile,
@@ -87,8 +89,21 @@ def test_unknown_scheme_rejected():
         TokenizerConfig("moses", lowercase=True)
 
 
+def test_13a_adjacent_period_comma_not_idempotent():
+    # The regex passes do not overlap their matches (as in mteval-v13a and
+    # sacreBLEU), so the second of two adjacent marks can stay attached to
+    # a digit; re-tokenizing the joined tokens then splits it off.
+    assert toks("..0", RAW_13A) == [".", ".0"]
+    assert toks(". .0", RAW_13A) == [".", ".", "0"]
+    assert toks("x.,0", RAW_13A) == ["x", ".", ",0"]
+    assert toks("x . ,0", RAW_13A) == ["x", ".", ",", "0"]
+
+
+# Inputs with two adjacent period/comma marks re-tokenize differently
+# (pinned above); the properties cover all other printable input.
 @given(printable_text)
 def test_13a_idempotent(text):
+    assume(not re.search(r"[.,]{2}", text))
     first = tokenize(text, LC_13A)
     again = tokenize(" ".join(first.tokens), LC_13A)
     assert again.tokens == first.tokens
@@ -96,6 +111,7 @@ def test_13a_idempotent(text):
 
 @given(printable_text)
 def test_13a_idempotent_mixed_case(text):
+    assume(not re.search(r"[.,]{2}", text))
     first = tokenize(text, RAW_13A)
     again = tokenize(" ".join(first.tokens), RAW_13A)
     assert again.tokens == first.tokens

@@ -30,13 +30,20 @@ class BleuConfig:
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
+            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
         if self.smoothing not in SMOOTHINGS:
             raise ValueError(
                 f"unknown smoothing {self.smoothing!r}; expected one of {SMOOTHINGS}"
             )
-        if self.smoothing == "add-k" and not self.smooth_k > 0:
-            raise ValueError("add-k smoothing requires k > 0")
+        if not (math.isfinite(self.smooth_k) and self.smooth_k > 0):
+            raise ValueError(f"smooth_k must be finite and > 0, got {self.smooth_k}")
+
+    @property
+    def smooth_label(self) -> str:
+        """Smoothing as written in signatures: ``add-k`` carries its k."""
+        if self.smoothing == "add-k":
+            return f"add-k({format(self.smooth_k, 'g')})"
+        return self.smoothing
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,23 @@ class BleuReport:
     total: tuple[int, ...]
     signature: str
 
+    def to_dict(self) -> dict:
+        return {
+            "signature": self.signature,
+            "precisions": list(self.precisions),
+            "bp": self.bp,
+            "score": self.score,
+            "hyp_tokens": self.hyp_tokens,
+            "ref_tokens": self.ref_tokens,
+        }
+
 
 def signature(config: BleuConfig, num_refs: int = 1) -> str:
     """Deterministic settings summary embedded in every report."""
     return "BLEU|case:{}|tok:{}|smooth:{}|n:{}|refs:{}".format(
         config.tokenizer.case_label,
         config.tokenizer.scheme_label,
-        config.smoothing,
+        config.smooth_label,
         config.max_n,
         num_refs,
     )

@@ -73,15 +73,18 @@ def _config_from_args(args: argparse.Namespace) -> EvalConfig:
     meteor_params = (
         _parse_meteor_params(args.meteor_params) if args.meteor_params else MeteorParams()
     )
-    return EvalConfig(
-        tokenizer=tokenizer,
-        hlepor_params=hlepor_params,
-        meteor_params=meteor_params,
-        max_n=args.max_n,
-        smoothing=args.smoothing,
-        smooth_k=args.smooth_k,
-        segment_bleu=args.segment_bleu,
-    )
+    try:
+        return EvalConfig(
+            tokenizer=tokenizer,
+            hlepor_params=hlepor_params,
+            meteor_params=meteor_params,
+            max_n=args.max_n,
+            smoothing=args.smoothing,
+            smooth_k=args.smooth_k,
+            segment_bleu=args.segment_bleu,
+        )
+    except ValueError as exc:  # only the BLEU fields are checked here
+        raise InputError(f"--max-n/--smooth-k: {exc}") from None
 
 
 def _require_file(flag: str, path) -> None:
@@ -197,18 +200,8 @@ def load_score_table(path) -> ScoreTable:
 
 def run_matrix(args: argparse.Namespace) -> int:
     _require_file("--scores", args.scores)
-    table = load_score_table(args.scores)
-    matrix = winner_matrix(table, decimals=args.decimals)
-    rendered = render_report(matrix, args.format)
-    decimals = "none" if args.decimals is None else str(args.decimals)
-    sig = f"matrix:v{SIGNATURE_VERSION}|decimals:{decimals}"
-    if args.format == "json":
-        payload = matrix.to_dict()
-        payload["signature"] = sig
-        rendered = json.dumps(payload, indent=2, ensure_ascii=False)
-    else:
-        rendered += f"\nsignature: {sig}"
-    print(rendered)
+    matrix = winner_matrix(load_score_table(args.scores), decimals=args.decimals)
+    print(render_report(matrix, args.format))
     return 0
 
 

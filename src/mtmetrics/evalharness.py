@@ -9,6 +9,7 @@ folds in segment order, so identical inputs give byte-identical reports.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,14 @@ TIE = "TIE"
 
 _SCALES = {"bleu": "0-100", "hlepor": "0-100", "meteor": "0-1", "rouge-l": "0-1"}
 
+# Non-BLEU segment scorers in run order; they look the metric functions up
+# at call time, so perfbench's tracer sees calls through rebound names.
+_SEGMENT_SCORERS = {
+    "hlepor": lambda hyp, ref, config: hlepor_sentence(hyp, ref, config.hlepor_params).score,
+    "meteor": lambda hyp, ref, config: meteor_exact(hyp, ref, config.meteor_params),
+    "rouge-l": lambda hyp, ref, config: rouge_l_f1(hyp, ref).f1,
+}
+
 
 def _fmt_num(x: float) -> str:
     return format(x, "g")
@@ -45,6 +54,9 @@ class EvalConfig:
     smoothing: str = "none"
     smooth_k: float = 1.0
     segment_bleu: bool = False
+
+    def __post_init__(self) -> None:
+        self.bleu_config()  # raises ValueError on bad BLEU settings
 
     def bleu_config(self) -> BleuConfig:
         return BleuConfig(self.max_n, self.smoothing, self.smooth_k, self.tokenizer)
@@ -89,10 +101,7 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
         "metrics:" + "+".join(metrics),
     ]
     if "bleu" in metrics:
-        smooth = config.smoothing
-        if smooth == "add-k":
-            smooth += f"({_fmt_num(config.smooth_k)})"
-        parts.append(f"smooth:{smooth}")
+        parts.append(f"smooth:{config.bleu_config().smooth_label}")
         parts.append(f"n:{config.max_n}")
         if config.segment_bleu:
             parts.append("seg-bleu:exp")
@@ -110,15 +119,15 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
 def read_lines(path) -> list[str]:
     """Read a UTF-8 text file, one segment per line.
 
-    Undecodable bytes are reported with their line number instead of a bare
-    UnicodeDecodeError.
+    A leading byte-order mark is dropped. Undecodable bytes are reported
+    with their line number instead of a bare UnicodeDecodeError.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise InputError(str(exc)) from None
-    chunks = data.split(b"\n")
+    chunks = data.removeprefix(codecs.BOM_UTF8).split(b"\n")
     if chunks and chunks[-1] == b"":
         chunks.pop()
     lines = []
@@ -210,55 +219,39 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
     hyp_seqs = [tokenize(text, config.tokenizer) for text in hyp_list]
     ref_seqs = [tokenize(text, config.tokenizer) for text in ref_list]
 
-    want_hlepor = "hlepor" in metric_ids
-    want_meteor = "meteor" in metric_ids
-    want_rouge = "rouge-l" in metric_ids
-    want_seg_bleu = "bleu" in metric_ids and config.segment_bleu
-    seg_bleu_config = config.segment_bleu_config() if want_seg_bleu else None
+    scorers = [(m, score) for m, score in _SEGMENT_SCORERS.items() if m in metric_ids]
+    columns: dict[str, list[float]] = {metric_id: [] for metric_id, _ in scorers}
+    seg_bleu_config = None
+    if "bleu" in metric_ids and config.segment_bleu:
+        seg_bleu_config = config.segment_bleu_config()
+        columns["bleu"] = []
 
-    def score_segment(index: int) -> dict[str, float]:
-        row: dict[str, float] = {}
+    for index, (hyp_seq, ref_seq) in enumerate(zip(hyp_seqs, ref_seqs)):
         try:
-            if want_hlepor:
-                row["hlepor"] = hlepor_sentence(
-                    hyp_seqs[index], ref_seqs[index], config.hlepor_params
-                ).score
-            if want_meteor:
-                row["meteor"] = meteor_exact(
-                    hyp_seqs[index], ref_seqs[index], config.meteor_params
-                )
-            if want_rouge:
-                row["rouge-l"] = rouge_l_f1(hyp_seqs[index], ref_seqs[index]).f1
+            for metric_id, score in scorers:
+                columns[metric_id].append(score(hyp_seq, ref_seq, config))
         except ValueError as exc:
             raise InputError(f"segment {index + 1}: {exc}") from exc
-        if want_seg_bleu:
-            if len(hyp_seqs[index]) == 0:
-                row["bleu"] = 0.0
-            else:
-                row["bleu"] = bleu_corpus(
-                    [hyp_list[index]], [ref_list[index]], seg_bleu_config
-                ).score
-        return row
-
-    rows = [score_segment(i) for i in range(len(hyp_list))]
+        if seg_bleu_config is not None:
+            columns["bleu"].append(
+                bleu_corpus([hyp_list[index]], [ref_list[index]], seg_bleu_config).score
+                if len(hyp_seq) else 0.0
+            )
 
     results: dict[str, MetricResult] = {}
     bleu_report = None
     for metric_id in metric_ids:
+        values = columns.get(metric_id)
         if metric_id == "bleu":
             bleu_report = bleu_corpus(hyp_list, ref_list, config.bleu_config())
-            segments = tuple(row["bleu"] for row in rows) if want_seg_bleu else None
-            results["bleu"] = MetricResult(bleu_report.score, segments)
-        elif metric_id == "hlepor":
-            raw = [row["hlepor"] for row in rows]
-            results["hlepor"] = MetricResult(
-                100.0 * math.fsum(raw) / len(raw),
-                tuple(100.0 * s for s in raw),
+            results["bleu"] = MetricResult(
+                bleu_report.score, None if values is None else tuple(values)
             )
         else:
-            values = [row[metric_id] for row in rows]
+            # hLEPOR is reported on 0-100; multiplying by 1.0 is exact.
+            scale = 100.0 if metric_id == "hlepor" else 1.0
             results[metric_id] = MetricResult(
-                math.fsum(values) / len(values), tuple(values)
+                scale * math.fsum(values) / len(values), tuple(scale * v for v in values)
             )
 
     counts = {
@@ -358,7 +351,9 @@ class ScoreTable:
 
     def __post_init__(self) -> None:
         seen = set()
-        for system, task, metric, _ in self.rows:
+        for index, (system, task, metric, value) in enumerate(self.rows, start=1):
+            if not math.isfinite(value):
+                raise InputError(f"score table row {index}: value must be finite, got {value}")
             key = (system, task, metric)
             if key in seen:
                 raise InputError(f"duplicate score table entry {key}")
@@ -367,7 +362,10 @@ class ScoreTable:
     def add(self, system: str, task: str, metric: str, value: float) -> None:
         if any((s, t, m) == (system, task, metric) for s, t, m, _ in self.rows):
             raise InputError(f"duplicate score table entry {(system, task, metric)}")
-        self.rows.append((system, task, metric, float(value)))
+        value = float(value)
+        if not math.isfinite(value):
+            raise InputError(f"score table value must be finite, got {value}")
+        self.rows.append((system, task, metric, value))
 
     def systems(self) -> list[str]:
         return sorted({row[0] for row in self.rows})
@@ -391,8 +389,11 @@ class ScoreTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTable":
-        if not isinstance(data, dict) or "rows" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
             raise InputError("score table JSON must be an object with a 'rows' array")
+        scales = data.get("scales", {})
+        if not isinstance(scales, dict):
+            raise InputError("score table 'scales' must be an object")
         rows = []
         for index, row in enumerate(data["rows"], start=1):
             try:
@@ -400,11 +401,11 @@ class ScoreTable:
                     (str(row["system"]), str(row["task"]), str(row["metric"]),
                      float(row["value"]))
                 )
-            except (TypeError, KeyError) as exc:
+            except (TypeError, KeyError, ValueError) as exc:
                 raise InputError(
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None
-        return cls(rows, dict(data.get("scales", {})))
+        return cls(rows, dict(scales))
 
 
 @dataclass(frozen=True)
@@ -415,6 +416,7 @@ class WinnerMatrix:
     agreement: dict[tuple[str, str], float]
     compared_tasks: dict[tuple[str, str], int]
     skipped: tuple[tuple[str, str], ...]
+    signature: str
 
     def to_dict(self) -> dict:
         return {
@@ -433,6 +435,7 @@ class WinnerMatrix:
             "skipped": [
                 {"task": task, "metric": metric} for task, metric in self.skipped
             ],
+            "signature": self.signature,
         }
 
 
@@ -447,9 +450,14 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
         raise InputError("empty score table")
     systems = table.systems()
     values: dict[tuple[str, str], dict[str, float]] = {}
-    for system, task, metric, value in table.rows:
+    for index, (system, task, metric, value) in enumerate(table.rows, start=1):
         if decimals is not None:
-            value = round_half_up(value, decimals)
+            try:
+                value = round_half_up(value, decimals)
+            except ArithmeticError:  # decimal.InvalidOperation: too many digits
+                raise InputError(
+                    f"score table row {index}: cannot round {value!r} to {decimals} decimals"
+                ) from None
         values.setdefault((task, metric), {})[system] = value
 
     winners: dict[tuple[str, str], str] = {}
@@ -480,7 +488,8 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
             )
             agreement[(metric_a, metric_b)] = agree / len(shared)
             compared[(metric_a, metric_b)] = len(shared)
-    return WinnerMatrix(winners, agreement, compared, tuple(skipped))
+    signature = f"matrix:v{SIGNATURE_VERSION}|decimals:{'none' if decimals is None else decimals}"
+    return WinnerMatrix(winners, agreement, compared, tuple(skipped), signature)
 
 
 def _table_text(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -519,22 +528,16 @@ def render_report(data, fmt: str = "table") -> str:
     """
     if fmt not in ("table", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    if not isinstance(data, (BleuReport, EvaluationReport, ComparisonReport,
+                             WinnerMatrix, ScoreTable)):
+        raise TypeError(f"cannot render {type(data).__name__}")
+    if fmt == "json":
+        return _json_text(data.to_dict())
 
     if isinstance(data, BleuReport):
-        if fmt == "json":
-            return _json_text({
-                "signature": data.signature,
-                "precisions": list(data.precisions),
-                "bp": data.bp,
-                "score": data.score,
-                "hyp_tokens": data.hyp_tokens,
-                "ref_tokens": data.ref_tokens,
-            })
         return _render_bleu_table(data)
 
     if isinstance(data, EvaluationReport):
-        if fmt == "json":
-            return _json_text(data.to_dict())
         rows = [
             [metric_id, f"{result.corpus:.4f}", _SCALES[metric_id]]
             for metric_id, result in data.metrics.items()
@@ -542,14 +545,9 @@ def render_report(data, fmt: str = "table") -> str:
         text = _table_text(["metric", "corpus", "scale"], rows)
         if data.bleu_report is not None:
             text += "\n\n" + _render_bleu_table(data.bleu_report)
-            text += f"\nsignature: {data.signature}"
-        else:
-            text += f"\nsignature: {data.signature}"
-        return text
+        return text + f"\nsignature: {data.signature}"
 
     if isinstance(data, ComparisonReport):
-        if fmt == "json":
-            return _json_text(data.to_dict())
         rows = []
         for row in data.rows:
             rate = "n/a" if row.rate_percent is None else f"{row.rate_percent:+.2f}%"
@@ -558,8 +556,6 @@ def render_report(data, fmt: str = "table") -> str:
         return text + f"\nsignature: {data.signature}"
 
     if isinstance(data, WinnerMatrix):
-        if fmt == "json":
-            return _json_text(data.to_dict())
         rows = [
             [task, metric, winner]
             for (task, metric), winner in sorted(data.winners.items())
@@ -575,15 +571,10 @@ def render_report(data, fmt: str = "table") -> str:
             text += "\n\nskipped cells: " + ", ".join(
                 f"{task}/{metric}" for task, metric in data.skipped
             )
-        return text
+        return text + f"\nsignature: {data.signature}"
 
-    if isinstance(data, ScoreTable):
-        if fmt == "json":
-            return _json_text(data.to_dict())
-        rows = [
-            [system, task, metric, f"{value:g}"]
-            for system, task, metric, value in sorted(data.rows)
-        ]
-        return _table_text(["system", "task", "metric", "value"], rows)
-
-    raise TypeError(f"cannot render {type(data).__name__}")
+    rows = [
+        [system, task, metric, f"{value:g}"]
+        for system, task, metric, value in sorted(data.rows)
+    ]
+    return _table_text(["system", "task", "metric", "value"], rows)

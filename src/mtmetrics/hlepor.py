@@ -42,8 +42,9 @@ class HleporParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "w_lp", "w_npp", "w_hpr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -185,6 +186,15 @@ def hpr(aligned_num: int, hyp_len: int, ref_len: int,
     return ((alpha + beta) * precision * recall) / (alpha * precision + beta * recall)
 
 
+def _combine(lp: float, npos_penal: float, hpr_value: float, params: HleporParams) -> float:
+    if lp == 0.0 or hpr_value == 0.0:
+        return 0.0
+    weight_sum = params.w_lp + params.w_npp + params.w_hpr
+    return weight_sum / (
+        params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
+    )
+
+
 def hlepor_sentence(hyp: Tokens, ref: Tokens,
                     params: HleporParams | None = None) -> HleporBreakdown:
     """Sentence score with the full component breakdown.
@@ -205,13 +215,6 @@ def hlepor_sentence(hyp: Tokens, ref: Tokens,
     precision = matched / lh if lh else 0.0
     recall = matched / lr if lr else 0.0
     hpr_value = hpr(matched, lh, lr, params.alpha, params.beta)
-    if lp == 0.0 or hpr_value == 0.0:
-        score = 0.0
-    else:
-        weight_sum = params.w_lp + params.w_npp + params.w_hpr
-        score = weight_sum / (
-            params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
-        )
     return HleporBreakdown(
         lp=lp,
         npd=npd_value,
@@ -219,7 +222,7 @@ def hlepor_sentence(hyp: Tokens, ref: Tokens,
         precision=precision,
         recall=recall,
         hpr=hpr_value,
-        score=score,
+        score=_combine(lp, npos_penal, hpr_value, params),
     )
 
 
@@ -256,10 +259,4 @@ def hlepor_corpus(pairs: Iterable[tuple[Tokens, Tokens]],
     lp = length_penalty(total_h, total_r)
     npos_penal = math.exp(-(math.fsum(pd_sums) / total_h)) if total_h else 1.0
     hpr_value = hpr(total_m, total_h, total_r, params.alpha, params.beta)
-    if lp == 0.0 or hpr_value == 0.0:
-        return 0.0
-    weight_sum = params.w_lp + params.w_npp + params.w_hpr
-    score = weight_sum / (
-        params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
-    )
-    return 100.0 * score
+    return 100.0 * _combine(lp, npos_penal, hpr_value, params)

@@ -69,7 +69,11 @@ def test_signature_whitespace_exp():
 def test_signature_deterministic():
     config = BleuConfig(smoothing="add-k", smooth_k=2.0)
     assert signature(config) == signature(config)
-    assert signature(config) == "BLEU|case:lc|tok:13a|smooth:add-k|n:4|refs:1"
+    assert signature(config) == "BLEU|case:lc|tok:13a|smooth:add-k(2)|n:4|refs:1"
+    # k changes the score, so it must be in the signature.
+    assert signature(BleuConfig(smoothing="add-k")) == (
+        "BLEU|case:lc|tok:13a|smooth:add-k(1)|n:4|refs:1"
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,3 +173,6 @@ def test_config_validation():
         BleuConfig(smoothing="floor")
     with pytest.raises(ValueError):
         BleuConfig(smoothing="add-k", smooth_k=0.0)
+    for k in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="smooth_k"):
+            BleuConfig(smoothing="add-k", smooth_k=k)

@@ -243,3 +243,41 @@ def test_output_contains_signature_for_every_command(parallel_files, tmp_path, c
     assert "signature:" in capsys.readouterr().out
     assert main(["matrix", "--scores", matrix_fixture_path(tmp_path)]) == 0
     assert "signature:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--max-n", "0"], "--max-n"),
+    (["--smoothing", "add-k", "--smooth-k", "inf"], "--smooth-k"),
+    (["--smoothing", "add-k", "--smooth-k", "nan"], "--smooth-k"),
+    (["--smoothing", "add-k", "--smooth-k", "-1"], "--smooth-k"),
+    (["--hlepor-params", "inf,1,2,1,1,1"], "--hlepor-params"),
+    (["--meteor-params", "0.9,inf,0.5"], "--meteor-params"),
+])
+def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
+    hyp, ref = parallel_files
+    for metric in ("bleu", "hlepor", "meteor"):
+        code = main(["score", "--metric", metric, "--hyp", hyp, "--ref", ref, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("body, extra, named", [
+    ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": "abc"}]}', [],
+     "row 1"),
+    ('{"rows": 5}', [], "'rows' array"),
+    ('{"rows": [], "scales": 5}', [], "'scales'"),
+    ('{"rows": [{"system": "a", "task": "t", "metric": "m", "value": 1},'
+     ' {"system": "b", "task": "t", "metric": "m", "value": NaN}]}', [], "row 2"),
+    ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 38.18}]}',
+     ["--decimals", "1000"], "row 1: cannot round 38.18 to 1000 decimals"),
+])
+def test_matrix_bad_score_table_exits_2(tmp_path, capsys, body, extra, named):
+    path = tmp_path / "scores.json"
+    path.write_text(body, encoding="utf-8")
+    code = main(["matrix", "--scores", str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert captured.out == ""

@@ -20,6 +20,7 @@ from mtmetrics.evalharness import (
     winner_matrix,
 )
 from mtmetrics.bleu import bleu_corpus
+from mtmetrics.cli import main
 from mtmetrics.hlepor import hlepor_corpus
 from mtmetrics.lexmetrics import meteor_exact, rouge_l_f1
 from mtmetrics.textnorm import TokenizerConfig, tokenize
@@ -197,6 +198,16 @@ def test_score_table_rejects_duplicates():
         table.add("s", "t", "m", 2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_score_table_rejects_non_finite_values(value):
+    # NaN compared with anything is never the maximum, so it used to be
+    # decided as a tie instead of rejected.
+    with pytest.raises(InputError, match="row 2: value must be finite"):
+        ScoreTable([("s1", "t", "m", 1.0), ("s2", "t", "m", value)])
+    with pytest.raises(InputError, match="must be finite"):
+        ScoreTable().add("s", "t", "m", value)
+
+
 # --- corpus evaluation ------------------------------------------------------
 
 def test_identical_files_perfect_scores(tmp_path):
@@ -240,6 +251,23 @@ def test_line_count_mismatch_names_both_counts(tmp_path):
     ref = write_lines(tmp_path / "ref.txt", ["a", "b", "c", "d"])
     with pytest.raises(InputError, match=r"3.*4"):
         evaluate_corpus(hyp, ref)
+
+
+def test_read_lines_strips_byte_order_mark(tmp_path):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(b"\xef\xbb\xbfa b\n\xef\xbb\xbfa b\n")
+    ref = write_lines(tmp_path / "ref.txt", ["a b", "a b"])
+    # Only a leading mark is an encoding signature; a later one is text.
+    assert read_lines(str(hyp)) == ["a b", "\ufeffa b"]
+    report = evaluate_corpus(str(hyp), ref, ("rouge-l",))
+    assert report.metrics["rouge-l"].segments == (1.0, 0.5)
+
+
+def test_eval_config_validates_bleu_settings():
+    with pytest.raises(ValueError, match="max_n"):
+        EvalConfig(max_n=0)
+    with pytest.raises(ValueError, match="smooth_k"):
+        EvalConfig(smoothing="add-k", smooth_k=float("inf"))
 
 
 def test_undecodable_bytes_name_line_number(tmp_path):
@@ -329,6 +357,24 @@ def test_render_bleu_table_header():
 def test_render_empty_score_table_json():
     payload = json.loads(render_report(ScoreTable(), "json"))
     assert payload == {"rows": []}
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_matrix_json_matches_cli(tmp_path, capsys, decimals):
+    table = clinical_table()
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps(table.to_dict()), encoding="utf-8")
+    argv = ["matrix", "--scores", str(path), "--format", "json"]
+    if decimals is not None:
+        argv += ["--decimals", str(decimals)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    rendered = render_report(winner_matrix(table, decimals), "json")
+    assert stdout == rendered + "\n"
+    payload = json.loads(rendered)
+    assert list(payload)[-1] == "signature"
+    label = "none" if decimals is None else str(decimals)
+    assert payload["signature"] == f"matrix:v1|decimals:{label}"
 
 
 def test_render_bleu_json():

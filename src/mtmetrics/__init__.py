@@ -8,7 +8,6 @@ matrices with metric-agreement statistics.
 
 from ._version import SIGNATURE_VERSION, __version__
 from .bleu import BleuConfig, BleuReport, bleu_corpus
-from .bleu import signature as bleu_signature
 from .errors import InputError
 from .evalharness import (
     METRICS,
@@ -84,7 +83,6 @@ __all__ = [
     "WinnerMatrix",
     "align",
     "bleu_corpus",
-    "bleu_signature",
     "compare_files",
     "evaluate_corpus",
     "evaluate_pairs",

@@ -2,9 +2,11 @@
 
 Modified n-gram precisions are clipped per segment against the single
 reference and pooled over the corpus; the score is the brevity penalty
-times the geometric mean of the per-order precisions (0-100 scale). Every
-report embeds a signature string recording the settings that produced it,
-because a BLEU number without its configuration cannot be reproduced.
+times the geometric mean of the per-order precisions (0-100 scale).
+``BleuReport`` is a statistics record and carries no signature: the settings
+that produced a score are disclosed by the one run signature that
+``evalharness.run_signature`` writes, because a BLEU number without its
+configuration cannot be reproduced.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class BleuConfig:
 @dataclass(frozen=True)
 class BleuReport:
     """Per-order precisions (0-100), brevity penalty, overall score, token
-    totals, clipped-count sufficient statistics, and the settings signature."""
+    totals and clipped-count sufficient statistics."""
 
     precisions: tuple[float, ...]
     bp: float
@@ -58,28 +60,6 @@ class BleuReport:
     ref_tokens: int
     correct: tuple[int, ...]
     total: tuple[int, ...]
-    signature: str
-
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "precisions": list(self.precisions),
-            "bp": self.bp,
-            "score": self.score,
-            "hyp_tokens": self.hyp_tokens,
-            "ref_tokens": self.ref_tokens,
-        }
-
-
-def signature(config: BleuConfig, num_refs: int = 1) -> str:
-    """Deterministic settings summary embedded in every report."""
-    return "BLEU|case:{}|tok:{}|smooth:{}|n:{}|refs:{}".format(
-        config.tokenizer.case_label,
-        config.tokenizer.scheme_label,
-        config.smooth_label,
-        config.max_n,
-        num_refs,
-    )
 
 
 def _smoothed_precisions(correct: Sequence[int], total: Sequence[int],
@@ -163,5 +143,4 @@ def bleu_corpus(hyps: Iterable[str], refs: Iterable[str],
         ref_tokens=ref_tokens,
         correct=tuple(correct),
         total=tuple(total),
-        signature=signature(config),
     )

@@ -16,8 +16,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from ._version import SIGNATURE_VERSION, __version__
+from .bleu import SMOOTHINGS
 from .errors import InputError
 from .evalharness import (
     METRICS,
@@ -32,46 +34,37 @@ from .evalharness import (
 )
 from .hlepor import PRESETS, HleporParams, preset
 from .lexmetrics import MeteorParams
-from .textnorm import TokenizerConfig
+from .textnorm import SCHEMES, TokenizerConfig
 
 
-def _parse_hlepor_params(raw: str) -> HleporParams:
+def _param_metavar(params_class) -> str:
+    return ",".join(f.name.upper() for f in fields(params_class))
+
+
+def _parse_params(flag: str, params_class, raw: str):
+    """One comma-separated value per dataclass field, each of the type of
+    the field's default (so hLEPOR's ``n`` must be an int)."""
+    params = fields(params_class)
     parts = raw.split(",")
-    if len(parts) != 6:
-        raise InputError("--hlepor-params expects alpha,beta,n,wlp,wnpp,whpr")
+    if len(parts) != len(params):
+        raise InputError(f"{flag} expects {_param_metavar(params_class)}")
     try:
-        return HleporParams(
-            alpha=float(parts[0]),
-            beta=float(parts[1]),
-            n=int(parts[2]),
-            w_lp=float(parts[3]),
-            w_npp=float(parts[4]),
-            w_hpr=float(parts[5]),
-        )
+        return params_class(*(type(f.default)(part) for f, part in zip(params, parts)))
     except ValueError as exc:
-        raise InputError(f"--hlepor-params: {exc}") from None
-
-
-def _parse_meteor_params(raw: str) -> MeteorParams:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise InputError("--meteor-params expects alpha,beta,gamma")
-    try:
-        return MeteorParams(float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise InputError(f"--meteor-params: {exc}") from None
+        raise InputError(f"{flag}: {exc}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> EvalConfig:
     tokenizer = TokenizerConfig(args.tokenize, args.lowercase)
     if args.hlepor_params:
-        hlepor_params = _parse_hlepor_params(args.hlepor_params)
+        hlepor_params = _parse_params("--hlepor-params", HleporParams, args.hlepor_params)
     elif args.lang_pair:
         hlepor_params = preset(args.lang_pair)
     else:
         hlepor_params = HleporParams()
     meteor_params = (
-        _parse_meteor_params(args.meteor_params) if args.meteor_params else MeteorParams()
+        _parse_params("--meteor-params", MeteorParams, args.meteor_params)
+        if args.meteor_params else MeteorParams()
     )
     try:
         return EvalConfig(
@@ -111,20 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output format (default: table)")
 
     metric_common = argparse.ArgumentParser(add_help=False)
-    metric_common.add_argument("--tokenize", choices=("13a", "whitespace", "none"),
+    metric_common.add_argument("--tokenize", choices=SCHEMES,
                                default="13a", help="tokenization scheme (default: 13a)")
     metric_common.add_argument("--lowercase", action=argparse.BooleanOptionalAction,
                                default=True, help="lowercase after tokenization")
     metric_common.add_argument("--lang-pair", choices=sorted(PRESETS), default=None,
                                help="hLEPOR parameter preset")
     metric_common.add_argument("--hlepor-params", default=None,
-                               metavar="A,B,N,WLP,WNPP,WHPR",
+                               metavar=_param_metavar(HleporParams),
                                help="override the six hLEPOR parameters")
-    metric_common.add_argument("--meteor-params", default=None, metavar="ALPHA,BETA,GAMMA",
+    metric_common.add_argument("--meteor-params", default=None,
+                               metavar=_param_metavar(MeteorParams),
                                help="override the METEOR parameters")
     metric_common.add_argument("--max-n", type=int, default=4,
                                help="maximum BLEU n-gram order (default: 4)")
-    metric_common.add_argument("--smoothing", choices=("none", "add-k", "exp"),
+    metric_common.add_argument("--smoothing", choices=SMOOTHINGS,
                                default="none", help="BLEU smoothing (default: none)")
     metric_common.add_argument("--smooth-k", type=float, default=1.0,
                                help="k for add-k smoothing (default: 1.0)")

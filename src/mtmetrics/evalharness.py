@@ -12,7 +12,7 @@ from __future__ import annotations
 import codecs
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
@@ -73,27 +73,14 @@ class EvalConfig:
             "max_n": self.max_n,
             "smoothing": self.smoothing,
             "smooth_k": self.smooth_k,
-            "hlepor_params": {
-                "alpha": self.hlepor_params.alpha,
-                "beta": self.hlepor_params.beta,
-                "n": self.hlepor_params.n,
-                "w_lp": self.hlepor_params.w_lp,
-                "w_npp": self.hlepor_params.w_npp,
-                "w_hpr": self.hlepor_params.w_hpr,
-            },
-            "meteor_params": {
-                "alpha": self.meteor_params.alpha,
-                "beta": self.meteor_params.beta,
-                "gamma": self.meteor_params.gamma,
-            },
+            "hlepor_params": asdict(self.hlepor_params),
+            "meteor_params": asdict(self.meteor_params),
             "segment_bleu": self.segment_bleu,
         }
 
 
 def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     """Settings summary sufficient to re-run an evaluation."""
-    hp = config.hlepor_params
-    mp = config.meteor_params
     parts = [
         f"mteval:v{SIGNATURE_VERSION}",
         f"case:{config.tokenizer.case_label}",
@@ -105,14 +92,10 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
         parts.append(f"n:{config.max_n}")
         if config.segment_bleu:
             parts.append("seg-bleu:exp")
-    if "hlepor" in metrics:
-        parts.append(
-            "hlepor:" + ",".join(
-                _fmt_num(v) for v in (hp.alpha, hp.beta, hp.n, hp.w_lp, hp.w_npp, hp.w_hpr)
-            )
-        )
-    if "meteor" in metrics:
-        parts.append("meteor:" + ",".join(_fmt_num(v) for v in (mp.alpha, mp.beta, mp.gamma)))
+    for metric_id, params in (("hlepor", config.hlepor_params),
+                              ("meteor", config.meteor_params)):
+        if metric_id in metrics:
+            parts.append(f"{metric_id}:" + ",".join(_fmt_num(v) for v in astuple(params)))
     return "|".join(parts)
 
 
@@ -175,6 +158,9 @@ class EvaluationReport:
         metric_block = {}
         for metric_id, result in self.metrics.items():
             entry: dict = {"corpus": result.corpus}
+            if metric_id == "bleu":
+                entry["precisions"] = list(self.bleu_report.precisions)
+                entry["bp"] = self.bleu_report.bp
             if result.segments is not None:
                 entry["segments"] = list(result.segments)
             metric_block[metric_id] = entry
@@ -314,15 +300,7 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "signature": self.signature,
-            "rows": [
-                {
-                    "metric": row.metric,
-                    "before": row.before,
-                    "after": row.after,
-                    "rate_percent": row.rate_percent,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 
@@ -397,11 +375,15 @@ class ScoreTable:
         rows = []
         for index, row in enumerate(data["rows"], start=1):
             try:
+                value = row["value"]
+                # A JSON number only: bool is an int subclass, and float()
+                # would also read strings such as " 0.5 ".
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"value must be a number, got {value!r}")
                 rows.append(
-                    (str(row["system"]), str(row["task"]), str(row["metric"]),
-                     float(row["value"]))
+                    (str(row["system"]), str(row["task"]), str(row["metric"]), float(value))
                 )
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise InputError(
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None
@@ -508,14 +490,6 @@ def _ngram_header(order: int) -> str:
     return names.get(order, f"{order}-gram")
 
 
-def _render_bleu_table(report: BleuReport) -> str:
-    headers = [_ngram_header(n) for n in range(1, len(report.precisions) + 1)]
-    headers += ["BP", "Overall"]
-    row = [f"{p:.2f}" for p in report.precisions]
-    row += [f"{report.bp:.3f}", f"{report.score:.2f}"]
-    return _table_text(headers, [row]) + f"\nsignature: {report.signature}"
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
@@ -523,19 +497,16 @@ def _json_text(payload: dict) -> str:
 def render_report(data, fmt: str = "table") -> str:
     """Render a report object as an aligned text table or JSON.
 
-    Accepts BleuReport, EvaluationReport, ComparisonReport, WinnerMatrix,
-    and ScoreTable. Output is byte-deterministic for identical inputs.
+    Accepts EvaluationReport, ComparisonReport, WinnerMatrix and ScoreTable;
+    a BleuReport is rendered as the BLEU block of the EvaluationReport that
+    carries it. Output is byte-deterministic for identical inputs.
     """
     if fmt not in ("table", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if not isinstance(data, (BleuReport, EvaluationReport, ComparisonReport,
-                             WinnerMatrix, ScoreTable)):
+    if not isinstance(data, (EvaluationReport, ComparisonReport, WinnerMatrix, ScoreTable)):
         raise TypeError(f"cannot render {type(data).__name__}")
     if fmt == "json":
         return _json_text(data.to_dict())
-
-    if isinstance(data, BleuReport):
-        return _render_bleu_table(data)
 
     if isinstance(data, EvaluationReport):
         rows = [
@@ -543,8 +514,13 @@ def render_report(data, fmt: str = "table") -> str:
             for metric_id, result in data.metrics.items()
         ]
         text = _table_text(["metric", "corpus", "scale"], rows)
-        if data.bleu_report is not None:
-            text += "\n\n" + _render_bleu_table(data.bleu_report)
+        bleu = data.bleu_report
+        if bleu is not None:
+            headers = [_ngram_header(n) for n in range(1, len(bleu.precisions) + 1)]
+            row = [f"{p:.2f}" for p in bleu.precisions]
+            text += "\n\n" + _table_text(
+                headers + ["BP", "Overall"], [row + [f"{bleu.bp:.3f}", f"{bleu.score:.2f}"]]
+            )
         return text + f"\nsignature: {data.signature}"
 
     if isinstance(data, ComparisonReport):

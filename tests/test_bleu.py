@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtmetrics.bleu import BleuConfig, bleu_corpus, signature
+from mtmetrics.bleu import BleuConfig, bleu_corpus
 from mtmetrics.errors import InputError
+from mtmetrics.evalharness import EvalConfig, run_signature
 from mtmetrics.textnorm import TokenizerConfig, tokenize
 from oracles import bf_clipped_counts
 
@@ -58,21 +59,27 @@ def test_brevity_penalty_nine_vs_ten_tokens():
 
 
 def test_signature_default_config():
-    assert signature(BleuConfig()) == "BLEU|case:lc|tok:13a|smooth:none|n:4|refs:1"
+    assert run_signature(("bleu",), EvalConfig()) == (
+        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
+    )
 
 
 def test_signature_whitespace_exp():
-    config = BleuConfig(smoothing="exp", tokenizer=TokenizerConfig("whitespace", False))
-    assert signature(config) == "BLEU|case:mixed|tok:ws|smooth:exp|n:4|refs:1"
+    config = EvalConfig(tokenizer=TokenizerConfig("whitespace", False), smoothing="exp")
+    assert run_signature(("bleu",), config) == (
+        "mteval:v1|case:mixed|tok:ws|metrics:bleu|smooth:exp|n:4"
+    )
 
 
 def test_signature_deterministic():
-    config = BleuConfig(smoothing="add-k", smooth_k=2.0)
-    assert signature(config) == signature(config)
-    assert signature(config) == "BLEU|case:lc|tok:13a|smooth:add-k(2)|n:4|refs:1"
+    config = EvalConfig(smoothing="add-k", smooth_k=2.0)
+    assert run_signature(("bleu",), config) == run_signature(("bleu",), config)
+    assert run_signature(("bleu",), config) == (
+        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:add-k(2)|n:4"
+    )
     # k changes the score, so it must be in the signature.
-    assert signature(BleuConfig(smoothing="add-k")) == (
-        "BLEU|case:lc|tok:13a|smooth:add-k(1)|n:4|refs:1"
+    assert run_signature(("bleu",), EvalConfig(smoothing="add-k")) == (
+        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:add-k(1)|n:4"
     )
 
 

@@ -16,6 +16,8 @@ SCHEMA = {
                 "required": ["corpus"],
                 "properties": {
                     "corpus": {"type": "number"},
+                    "precisions": {"type": "array", "items": {"type": "number"}},
+                    "bp": {"type": "number"},
                     "segments": {"type": "array", "items": {"type": "number"}},
                 },
             },
@@ -67,13 +69,16 @@ def test_score_line_count_mismatch_exits_2(tmp_path, capsys):
 def test_score_json_validates_against_schema(parallel_files, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     hyp, ref = parallel_files
-    code = main(["score", "--metric", "rouge-l", "--hyp", hyp, "--ref", ref,
-                 "--format", "json"])
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, SCHEMA)
-    assert payload["metrics"]["rouge-l"]["corpus"] == 1.0
+    for metric, corpus in (("rouge-l", 1.0), ("bleu", 100.0)):
+        code = main(["score", "--metric", metric, "--hyp", hyp, "--ref", ref,
+                     "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["metrics"][metric]["corpus"] == corpus
+    assert payload["metrics"]["bleu"]["precisions"] == [100.0] * 4
+    assert payload["metrics"]["bleu"]["bp"] == 1.0
 
 
 def test_score_missing_file_exits_2(tmp_path, capsys):
@@ -272,6 +277,13 @@ def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
      ' {"system": "b", "task": "t", "metric": "m", "value": NaN}]}', [], "row 2"),
     ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 38.18}]}',
      ["--decimals", "1000"], "row 1: cannot round 38.18 to 1000 decimals"),
+    ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": true}]}', [],
+     "row 1"),
+    ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": " 0.5 "}]}', [],
+     "row 1"),
+    # An integer literal beyond the float range is a JSON number but no finite score.
+    pytest.param('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 1%s}]}'
+                 % ("0" * 400), [], "row 1", id="integer-beyond-float-range"),
 ])
 def test_matrix_bad_score_table_exits_2(tmp_path, capsys, body, extra, named):
     path = tmp_path / "scores.json"

@@ -17,12 +17,13 @@ from mtmetrics.evalharness import (
     read_tsv,
     render_report,
     round_half_up,
+    run_signature,
     winner_matrix,
 )
 from mtmetrics.bleu import bleu_corpus
 from mtmetrics.cli import main
-from mtmetrics.hlepor import hlepor_corpus
-from mtmetrics.lexmetrics import meteor_exact, rouge_l_f1
+from mtmetrics.hlepor import HleporParams, hlepor_corpus
+from mtmetrics.lexmetrics import MeteorParams, meteor_exact, rouge_l_f1
 from mtmetrics.textnorm import TokenizerConfig, tokenize
 
 # Published two-system evaluation used as a winner-matrix fixture:
@@ -347,11 +348,15 @@ def test_compare_zero_base_rate_is_none(tmp_path):
 # --- rendering --------------------------------------------------------------
 
 def test_render_bleu_table_header():
-    report = bleu_corpus(["the cat sat on the mat"], ["the cat sat on a mat"])
-    text = render_report(report, "table")
-    header = text.splitlines()[0].split()
+    report = evaluate_pairs(["the cat sat on the mat"], ["the cat sat on a mat"], ("bleu",))
+    lines = render_report(report, "table").splitlines()
+    header = lines[lines.index("") + 1].split()
     assert header == ["uni-gram", "bi-gram", "tri-gram", "4-gram", "BP", "Overall"]
-    assert "signature: BLEU|" in text
+    # One signature line, the run signature, closes the table.
+    assert [line for line in lines if line.startswith("signature:")] == [
+        f"signature: {report.signature}"
+    ]
+    assert lines[-1] == "signature: mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
 
 
 def test_render_empty_score_table_json():
@@ -378,12 +383,29 @@ def test_matrix_json_matches_cli(tmp_path, capsys, decimals):
 
 
 def test_render_bleu_json():
-    report = bleu_corpus(["a b c"], ["a b d"], )
+    report = evaluate_pairs(["a b c"], ["a b d"], ("bleu",), EvalConfig(smoothing="exp"))
     payload = json.loads(render_report(report, "json"))
-    assert list(payload) == [
-        "signature", "precisions", "bp", "score", "hyp_tokens", "ref_tokens",
-    ]
-    assert payload["signature"].startswith("BLEU|")
+    entry = payload["metrics"]["bleu"]
+    assert list(entry) == ["corpus", "precisions", "bp"]
+    stats = bleu_corpus(["a b c"], ["a b d"], EvalConfig(smoothing="exp").bleu_config())
+    assert entry["corpus"] == stats.score
+    assert entry["precisions"] == list(stats.precisions)
+    assert entry["bp"] == stats.bp
+    with pytest.raises(TypeError):
+        render_report(stats, "json")
+
+
+def test_run_signature_hlepor_meteor_blocks():
+    config = EvalConfig(hlepor_params=HleporParams(1.0, 9.0, 3, 2.5, 1.0, 7.0),
+                        meteor_params=MeteorParams(0.8, 2.5, 0.25))
+    assert run_signature(METRICS, config) == (
+        "mteval:v1|case:lc|tok:13a|metrics:bleu+hlepor+meteor+rouge-l"
+        "|smooth:none|n:4|hlepor:1,9,3,2.5,1,7|meteor:0.8,2.5,0.25"
+    )
+    assert run_signature(("meteor", "hlepor"), config) == (
+        "mteval:v1|case:lc|tok:13a|metrics:meteor+hlepor"
+        "|hlepor:1,9,3,2.5,1,7|meteor:0.8,2.5,0.25"
+    )
 
 
 def test_render_byte_deterministic():

@@ -20,6 +20,10 @@ from .textnorm import TokenizerConfig, extract_ngrams, tokenize
 
 SMOOTHINGS = ("none", "add-k", "exp")
 
+#: Highest n-gram order ``BleuConfig`` accepts. Reports print one precision
+#: per order, and orders far above the usual 4 only pad them with zeros.
+MAX_ORDER = 20
+
 
 @dataclass(frozen=True)
 class BleuConfig:
@@ -31,8 +35,8 @@ class BleuConfig:
     tokenizer: TokenizerConfig = TokenizerConfig()
 
     def __post_init__(self) -> None:
-        if self.max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
+        if not 1 <= self.max_n <= MAX_ORDER:
+            raise ValueError(f"max_n must be between 1 and {MAX_ORDER}, got {self.max_n}")
         if self.smoothing not in SMOOTHINGS:
             raise ValueError(
                 f"unknown smoothing {self.smoothing!r}; expected one of {SMOOTHINGS}"
@@ -116,7 +120,7 @@ def bleu_corpus(hyps: Iterable[str], refs: Iterable[str],
             if not hyp_counts:
                 break  # shorter orders already empty implies longer ones are
             ref_counts = extract_ngrams(ref_seq, n).counts
-            total[n - 1] += sum(hyp_counts.values())
+            total[n - 1] += len(hyp_seq) - n + 1  # one n-gram per window
             correct[n - 1] += sum(
                 min(count, ref_counts.get(gram, 0))
                 for gram, count in hyp_counts.items()

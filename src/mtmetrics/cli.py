@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 
 from ._version import SIGNATURE_VERSION, __version__
-from .bleu import SMOOTHINGS
+from .bleu import MAX_ORDER, SMOOTHINGS
 from .errors import InputError
 from .evalharness import (
     METRICS,
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar=_param_metavar(MeteorParams),
                                help="override the METEOR parameters")
     metric_common.add_argument("--max-n", type=int, default=4,
-                               help="maximum BLEU n-gram order (default: 4)")
+                               help=f"maximum BLEU n-gram order, 1 to {MAX_ORDER} (default: 4)")
     metric_common.add_argument("--smoothing", choices=SMOOTHINGS,
                                default="none", help="BLEU smoothing (default: none)")
     metric_common.add_argument("--smooth-k", type=float, default=1.0,

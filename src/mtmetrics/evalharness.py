@@ -12,8 +12,9 @@ from __future__ import annotations
 import codecs
 import json
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Iterable, Sequence
 
 from ._version import SIGNATURE_VERSION
@@ -269,9 +270,16 @@ def evaluate_corpus(hyp_file, ref_file,
 
 
 def round_half_up(value: float, decimals: int) -> float:
-    """Decimal rounding with halves away from zero (not banker's)."""
+    """Decimal rounding with halves away from zero (not banker's).
+
+    The arithmetic is exact, with 28 significant digits past the integer
+    part of `value`, so every finite float rounds to up to 27 decimals;
+    asking for more digits than that can raise ``decimal.InvalidOperation``.
+    """
+    exact = Decimal(repr(value))
+    context = Context(prec=28 + max(exact.adjusted() + 1, 0))
     quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(exact.quantize(quantum, ROUND_HALF_UP, context))
 
 
 def improvement_rate(before: float, after: float) -> float:
@@ -320,30 +328,57 @@ def compare_files(before_file, after_file, ref_file,
     return ComparisonReport(before_report.signature, tuple(rows))
 
 
+def _checked_rows(rows, keys: set, first: int = 1) -> list[tuple[str, str, str, float]]:
+    """Score-table rows numbered from `first`, checked: three string labels
+    whose triple is not yet in `keys`, and a finite real number, returned as
+    a float. The triples are added to `keys`."""
+    checked = []
+    for number, (system, task, metric, value) in enumerate(rows, start=first):
+        if not (isinstance(system, str) and isinstance(task, str) and isinstance(metric, str)):
+            for name, label in (("system", system), ("task", task), ("metric", metric)):
+                if not isinstance(label, str):
+                    raise InputError(
+                        f"score table row {number}: {name} must be a string, got {label!r}"
+                    )
+        # bool is an int subclass, and float() would also read strings such
+        # as " 0.5 ". int and float come first because the ABC check is slow.
+        if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+            raise InputError(f"score table row {number}: value must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise InputError(
+                f"score table row {number}: value is beyond the float range"
+            ) from None
+        if not math.isfinite(value):
+            raise InputError(f"score table row {number}: value must be finite, got {value}")
+        key = (system, task, metric)
+        if key in keys:
+            raise InputError(f"duplicate score table entry {key}")
+        keys.add(key)
+        checked.append((system, task, metric, value))
+    return checked
+
+
 @dataclass
 class ScoreTable:
-    """(system, task, metric) -> value rows; triples must be unique."""
+    """(system, task, metric) -> value rows; triples must be unique.
+
+    Rows are checked on construction and by ``add``, the way to extend a
+    table: it keeps the set of triples that makes its duplicate check O(1).
+    """
 
     rows: list[tuple[str, str, str, float]] = field(default_factory=list)
     scales: dict[str, str] = field(default_factory=dict)
+    _keys: set[tuple[str, str, str]] = field(
+        default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for index, (system, task, metric, value) in enumerate(self.rows, start=1):
-            if not math.isfinite(value):
-                raise InputError(f"score table row {index}: value must be finite, got {value}")
-            key = (system, task, metric)
-            if key in seen:
-                raise InputError(f"duplicate score table entry {key}")
-            seen.add(key)
+        self.rows = _checked_rows(self.rows, self._keys)
 
     def add(self, system: str, task: str, metric: str, value: float) -> None:
-        if any((s, t, m) == (system, task, metric) for s, t, m, _ in self.rows):
-            raise InputError(f"duplicate score table entry {(system, task, metric)}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise InputError(f"score table value must be finite, got {value}")
-        self.rows.append((system, task, metric, value))
+        self.rows += _checked_rows([(system, task, metric, value)], self._keys,
+                                   len(self.rows) + 1)
 
     def systems(self) -> list[str]:
         return sorted({row[0] for row in self.rows})
@@ -375,19 +410,12 @@ class ScoreTable:
         rows = []
         for index, row in enumerate(data["rows"], start=1):
             try:
-                value = row["value"]
-                # A JSON number only: bool is an int subclass, and float()
-                # would also read strings such as " 0.5 ".
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"value must be a number, got {value!r}")
-                rows.append(
-                    (str(row["system"]), str(row["task"]), str(row["metric"]), float(value))
-                )
-            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                rows.append((row["system"], row["task"], row["metric"], row["value"]))
+            except (TypeError, KeyError) as exc:
                 raise InputError(
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None
-        return cls(rows, dict(scales))
+        return cls(rows, dict(scales))  # the constructor checks each row
 
 
 @dataclass(frozen=True)
@@ -454,12 +482,13 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
         winners[cell] = leaders[0] if len(leaders) == 1 else TIE
 
     metrics = table.metric_ids()
+    tasks = table.tasks()
     agreement: dict[tuple[str, str], float] = {}
     compared: dict[tuple[str, str], int] = {}
     for i, metric_a in enumerate(metrics):
         for metric_b in metrics[i + 1:]:
             shared = [
-                task for task in table.tasks()
+                task for task in tasks
                 if (task, metric_a) in winners and (task, metric_b) in winners
             ]
             if not shared:

@@ -11,17 +11,22 @@ rules are frozen and fixture-tested:
     split off; a period or comma preceded by a non-digit is split off on
     both sides, and so is one followed by a non-digit; a dash is split off
     when preceded by a digit; finally whitespace runs collapse and the text
-    is split on spaces. Each rule is one regex pass whose matches do not
-    overlap, as in mteval-v13a and sacreBLEU, so of two adjacent marks the
-    second can stay attached: ``..0`` gives ``.`` and ``.0``.
+    is split on spaces. The split characters are padded with spaces by one
+    ``str.replace`` each, skipped when the character is absent. The three
+    digit-sensitive rules are one regex pass each, run only when the text
+    holds a period or comma (a dash for the dash rule). Their matches do
+    not overlap, as in mteval-v13a and sacreBLEU, so of two adjacent marks
+    the second can stay attached: ``..0`` gives ``.`` and ``.0``.
 ``whitespace``
     Split on whitespace runs only.
 ``none``
     The input is assumed pre-tokenized: split on single spaces.
 
-Lowercasing, when configured, happens after splitting. Tokens are compared
-by exact scalar-value equality everywhere; no unicode normalization is
-applied, so callers who need NFC/NFKC must pre-normalize.
+Lowercasing, when configured, happens per token after splitting.
+Lowercasing the text first would change tokens, because the Greek final
+sigma depends on what follows it: ``ΟΔΟΣ'Α`` gives ``οδος``, not ``οδοσ``.
+Tokens are compared by exact scalar-value equality everywhere; no unicode
+normalization is applied, so callers who need NFC/NFKC must pre-normalize.
 """
 
 from __future__ import annotations
@@ -34,12 +39,23 @@ from typing import Iterator, Sequence, Union
 SCHEMES = ("13a", "whitespace", "none")
 
 # Printable ASCII minus letters, digits, period, comma, and dash. Period,
-# comma, and dash have digit-sensitive rules of their own below.
-_SPLIT_CHARS = " !\"#$%&'()*+/:;<=>?@[\\]^_`{|}~"
-_SPLIT_RE = re.compile("([" + re.escape(_SPLIT_CHARS) + "])")
+# comma, and dash have digit-sensitive rules of their own below. Space is
+# left out: padding a space with spaces does not change the tokens.
+_SPLIT_CHARS = "!\"#$%&'()*+/:;<=>?@[\\]^_`{|}~"
+_SPLIT_PADDED = tuple((char, f" {char} ") for char in _SPLIT_CHARS)
 _NONDIGIT_PUNCT_RE = re.compile(r"([^0-9])([\.,])")
 _PUNCT_NONDIGIT_RE = re.compile(r"([\.,])([^0-9])")
 _DIGIT_DASH_RE = re.compile(r"([0-9])(-)")
+
+
+# Replacement functions for the digit-sensitive passes: the same strings as
+# the templates r"\1 \2 " and r" \1 \2", without per-match template expansion.
+def _space_after_both(match: re.Match) -> str:
+    return match[1] + " " + match[2] + " "
+
+
+def _space_before_both(match: re.Match) -> str:
+    return " " + match[1] + " " + match[2]
 
 
 @dataclass(frozen=True)
@@ -93,17 +109,22 @@ def as_tokens(seq: Tokens) -> tuple[str, ...]:
 
 def _normalize_13a(text: str) -> str:
     text = text.replace("\n", " ")
-    text = text.replace("&quot;", '"')
-    text = text.replace("&amp;", "&")
-    text = text.replace("&lt;", "<")
-    text = text.replace("&gt;", ">")
+    if "&" in text:
+        text = text.replace("&quot;", '"')
+        text = text.replace("&amp;", "&")
+        text = text.replace("&lt;", "<")
+        text = text.replace("&gt;", ">")
     # Padding with spaces makes the string boundaries look like token
     # boundaries to the digit-sensitive rules.
     text = " " + text + " "
-    text = _SPLIT_RE.sub(r" \1 ", text)
-    text = _NONDIGIT_PUNCT_RE.sub(r"\1 \2 ", text)
-    text = _PUNCT_NONDIGIT_RE.sub(r" \1 \2", text)
-    text = _DIGIT_DASH_RE.sub(r"\1 \2 ", text)
+    for char, padded in _SPLIT_PADDED:
+        if char in text:
+            text = text.replace(char, padded)
+    if "." in text or "," in text:
+        text = _NONDIGIT_PUNCT_RE.sub(_space_after_both, text)
+        text = _PUNCT_NONDIGIT_RE.sub(_space_before_both, text)
+    if "-" in text:
+        text = _DIGIT_DASH_RE.sub(_space_after_both, text)
     return text
 
 
@@ -141,5 +162,9 @@ def extract_ngrams(seq: Tokens, n: int) -> NGramProfile:
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     tokens = as_tokens(seq)
-    counts = Counter(tokens[i:i + n] for i in range(len(tokens) - n + 1))
+    if len(tokens) < n:  # common for short segments; skips building n copies
+        return NGramProfile(n, Counter())
+    # The i-th shifted copy supplies the i-th token of every window; zip
+    # stops at the shortest, so exactly len(tokens) - n + 1 windows result.
+    counts = Counter(zip(*[tokens[i:] for i in range(n)]))
     return NGramProfile(n, counts)

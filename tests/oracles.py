@@ -1,12 +1,41 @@
 """Independent oracles used to cross-check the metrics and their kernels.
 
 Everything in this module is deliberately naive: plain loops over lists,
-exhaustive enumeration, exact integer arithmetic. Nothing here imports
-from the package under test, nor numpy.
+exhaustive enumeration, exact integer arithmetic, and the 13a tokenizer
+in its textbook one-regex-pass-per-rule form. Nothing here imports from
+the package under test, nor numpy.
 """
 
 import math
+import re
 from itertools import combinations
+
+# The 13a rules as one regex pass each, with template replacements: the
+# mteval-v13a/sacreBLEU formulation that the package's tokenizer must
+# reproduce token for token.
+_SPLIT_CHARS_13A = " !\"#$%&'()*+/:;<=>?@[\\]^_`{|}~"
+_SPLIT_RE_13A = re.compile("([" + re.escape(_SPLIT_CHARS_13A) + "])")
+_NONDIGIT_PUNCT_RE_13A = re.compile(r"([^0-9])([\.,])")
+_PUNCT_NONDIGIT_RE_13A = re.compile(r"([\.,])([^0-9])")
+_DIGIT_DASH_RE_13A = re.compile(r"([0-9])(-)")
+
+
+def ref_tokenize_13a(text, lowercase):
+    """13a tokens of `text`, lowercased per token after splitting."""
+    text = text.replace("\n", " ")
+    text = text.replace("&quot;", '"')
+    text = text.replace("&amp;", "&")
+    text = text.replace("&lt;", "<")
+    text = text.replace("&gt;", ">")
+    text = " " + text + " "
+    text = _SPLIT_RE_13A.sub(r" \1 ", text)
+    text = _NONDIGIT_PUNCT_RE_13A.sub(r"\1 \2 ", text)
+    text = _PUNCT_NONDIGIT_RE_13A.sub(r" \1 \2", text)
+    text = _DIGIT_DASH_RE_13A.sub(r"\1 \2 ", text)
+    tokens = text.split()
+    if lowercase:
+        tokens = [tok.lower() for tok in tokens]
+    return tuple(tokens)
 
 
 def bf_ngram_counts(tokens, n):

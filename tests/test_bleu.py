@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtmetrics.bleu import BleuConfig, bleu_corpus
+from mtmetrics.bleu import MAX_ORDER, BleuConfig, bleu_corpus
 from mtmetrics.errors import InputError
 from mtmetrics.evalharness import EvalConfig, run_signature
 from mtmetrics.textnorm import TokenizerConfig, tokenize
@@ -171,6 +171,13 @@ def test_empty_corpus_is_error():
 def test_all_empty_hypotheses_is_error():
     with pytest.raises(InputError):
         bleu_corpus(["", ""], ["a", "b"], ws_config())
+
+
+def test_max_order_bounded():
+    assert BleuConfig(max_n=MAX_ORDER).max_n == 20
+    for max_n in (MAX_ORDER + 1, 5000):
+        with pytest.raises(ValueError, match="max_n must be between 1 and 20"):
+            BleuConfig(max_n=max_n)
 
 
 def test_config_validation():

@@ -268,6 +268,42 @@ def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("max_n", ["21", "5000"])
+def test_max_n_upper_bound_exits_2(parallel_files, capsys, max_n):
+    hyp, ref = parallel_files
+    code = main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref, "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--max-n/--smooth-k: max_n must be between 1 and 20" in captured.err
+    assert captured.out == ""
+    assert main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref, "--max-n", "20"]) == 0
+
+
+@pytest.mark.parametrize("label", ["null", "5", '["t"]', "true"])
+@pytest.mark.parametrize("field", ["system", "task", "metric"])
+def test_matrix_non_string_label_exits_2(tmp_path, capsys, field, label):
+    row = {"system": "s", "task": "t", "metric": "m", "value": 1}
+    bad_row = {**row, field: json.loads(label)}
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({"rows": [row, bad_row]}), encoding="utf-8")
+    code = main(["matrix", "--scores", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"row 2: {field} must be a string" in captured.err
+    assert captured.out == ""
+
+
+def test_matrix_rounds_huge_values(tmp_path, capsys):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({"rows": [
+        {"system": "a", "task": "t", "metric": "m", "value": 1e30},
+        {"system": "b", "task": "t", "metric": "m", "value": 2e30},
+    ]}), encoding="utf-8")
+    assert main(["matrix", "--scores", str(path), "--decimals", "0", "--format", "json"]) == 0
+    winners = json.loads(capsys.readouterr().out)["winners"]
+    assert winners == [{"task": "t", "metric": "m", "winner": "b"}]
+
+
 @pytest.mark.parametrize("body, extra, named", [
     ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": "abc"}]}', [],
      "row 1"),

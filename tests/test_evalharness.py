@@ -1,6 +1,9 @@
 import json
+import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mtmetrics.errors import InputError
 from mtmetrics.evalharness import (
@@ -102,6 +105,21 @@ def test_round_half_up_is_not_bankers():
     assert round_half_up(2.675, 2) == 2.68
 
 
+def test_round_half_up_large_values():
+    # The integer digits do not count against the 28 significant digits.
+    assert round_half_up(1e30, 0) == 1e30
+    assert round_half_up(-1e28, 2) == -1e28
+    assert round_half_up(sys.float_info.max, 27) == sys.float_info.max
+    assert round_half_up(123456789012345678901.5, 8) == 123456789012345678901.5
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-5, 27))
+def test_round_half_up_rounds_every_finite_float(value, decimals):
+    exact = Decimal(repr(value)).quantize(
+        Decimal(1).scaleb(-decimals), ROUND_HALF_UP, Context(prec=400))
+    assert round_half_up(value, decimals) == float(exact)
+
+
 # --- winner matrix ----------------------------------------------------------
 
 EXPECTED_WINNERS = {
@@ -197,6 +215,57 @@ def test_score_table_rejects_duplicates():
     table.add("s", "t", "m", 1.0)
     with pytest.raises(InputError):
         table.add("s", "t", "m", 2.0)
+
+
+def test_score_table_rejects_duplicates_across_constructor_and_add():
+    with pytest.raises(InputError, match="duplicate"):
+        ScoreTable([("s", "t", "m", 1.0), ("s", "t", "m", 2.0)])
+    table = ScoreTable([("s", "t", "m", 1.0)])
+    with pytest.raises(InputError, match="duplicate"):
+        table.add("s", "t", "m", 2.0)
+
+
+def test_score_table_add_does_not_scan_rows():
+    # Counts label comparisons: a scan of the stored rows compares each new
+    # triple with every earlier one (about n*n/2 in all), a hashed lookup
+    # with none of them.
+    comparisons = 0
+
+    class Label(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return str.__eq__(self, other)
+
+    table = ScoreTable()
+    for i in range(1000):
+        table.add(Label("s"), Label("t"), Label(f"m{i}"), 0.5)
+    assert len(table.rows) == 1000
+    assert comparisons < 1000
+
+
+@pytest.mark.parametrize("row, named", [
+    (("s", "t", "m", True), "value must be a number"),
+    (("s", "t", "m", " 0.5 "), "value must be a number"),
+    (("s", "t", "m", None), "value must be a number"),
+    ((None, "t", "m", 0.5), "system must be a string"),
+    (("s", ["t"], "m", 0.5), "task must be a string"),
+    (("s", "t", 5, 0.5), "metric must be a string"),
+])
+def test_score_table_add_checks_rows_like_from_dict(row, named):
+    table = ScoreTable([("a", "t", "m", 1.0)])
+    with pytest.raises(InputError, match=f"row 2: {named}"):
+        table.add(*row)
+    with pytest.raises(InputError, match=f"row 2: {named}"):
+        ScoreTable([("a", "t", "m", 1.0), row])
+    system, task, metric, value = row
+    data = {"rows": [{"system": "a", "task": "t", "metric": "m", "value": 1.0},
+                     {"system": system, "task": task, "metric": metric, "value": value}]}
+    with pytest.raises(InputError, match=f"row 2: {named}"):
+        ScoreTable.from_dict(data)
+    assert table.rows == [("a", "t", "m", 1.0)]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

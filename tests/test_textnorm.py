@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mtmetrics.textnorm import (
     NGramProfile,
@@ -10,6 +10,7 @@ from mtmetrics.textnorm import (
     extract_ngrams,
     tokenize,
 )
+from oracles import bf_ngram_counts, ref_tokenize_13a
 
 LC_13A = TokenizerConfig("13a", lowercase=True)
 RAW_13A = TokenizerConfig("13a", lowercase=False)
@@ -19,6 +20,21 @@ NONE = TokenizerConfig("none", lowercase=False)
 printable_text = st.text(
     alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=60
 )
+
+# Pieces that make the 13a rules fire, weighted toward the digit-sensitive
+# marks: periods, commas and dashes next to digits and to each other, the
+# split class, the four entities and their parts (``&amp;`` + ``quot;``
+# must not unescape twice), newlines and other whitespace, and non-ASCII
+# letters, among them a capital sigma after a letter, which lowercases to
+# a final sigma only at the end of a token.
+_13A_PIECES = (
+    list(".,-" * 12) + list("0123456789" * 2)
+    + list(" !\"#$%&'()*+/:;<=>?@[\\]^_`{|}~")
+    + ["&quot;", "&amp;", "&lt;", "&gt;", "&", "quot;", "amp;", "lt;", "gt;"]
+    + ["\n", "\t", "\r", "  ", "\u00a0"]
+    + ["ΟΣ", "ΟΣ", "Σ", "ς", "Ο", "İ", "ß", "é", "Ａ", "a", "B", "z"]
+)
+rule_text = st.lists(st.sampled_from(_13A_PIECES), max_size=40).map("".join)
 
 
 def toks(text, config):
@@ -43,6 +59,10 @@ def test_13a_entity_unescaping():
     assert toks("a&amp;b &lt;tag&gt; &quot;x&quot;", RAW_13A) == [
         "a", "&", "b", "<", "tag", ">", '"', "x", '"',
     ]
+
+
+def test_13a_entities_unescape_once():
+    assert toks("&amp;quot; &amp;amp;", RAW_13A) == ["&", "quot", ";", "&", "amp", ";"]
 
 
 def test_13a_newline_becomes_space():
@@ -99,6 +119,29 @@ def test_13a_adjacent_period_comma_not_idempotent():
     assert toks("x . ,0", RAW_13A) == ["x", ".", ",", "0"]
 
 
+def test_13a_lowercases_per_token():
+    # Lowercasing the whole text first would give 'οδοσ': before the
+    # apostrophe and another letter, Σ is not word-final.
+    assert tokenize("ΟΔΟΣ'Α", LC_13A).tokens == ("οδος", "'", "α")
+
+
+@settings(max_examples=300)
+@given(rule_text)
+def test_13a_matches_reference_lowercased(text):
+    assert tokenize(text, LC_13A).tokens == ref_tokenize_13a(text, lowercase=True)
+
+
+@settings(max_examples=300)
+@given(rule_text)
+def test_13a_matches_reference_mixed_case(text):
+    assert tokenize(text, RAW_13A).tokens == ref_tokenize_13a(text, lowercase=False)
+
+
+@given(st.text(max_size=60))
+def test_13a_matches_reference_on_any_text(text):
+    assert tokenize(text, LC_13A).tokens == ref_tokenize_13a(text, lowercase=True)
+
+
 # Inputs with two adjacent period/comma marks re-tokenize differently
 # (pinned above); the properties cover all other printable input.
 @given(printable_text)
@@ -152,6 +195,11 @@ def test_extract_ngrams_rejects_order_zero():
 def test_ngram_total_count(tokens, n):
     profile = extract_ngrams(tokens, n)
     assert profile.total() == max(0, len(tokens) - n + 1)
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=20), st.integers(1, 6))
+def test_ngram_counts_match_brute_force(tokens, n):
+    assert extract_ngrams(tokens, n).counts == bf_ngram_counts(tokens, n)
 
 
 def test_token_sequence_carries_config():

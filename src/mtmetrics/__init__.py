@@ -50,7 +50,6 @@ from .lexmetrics import (
     rouge_l_f1,
 )
 from .textnorm import (
-    NGramProfile,
     TokenizerConfig,
     TokenSequence,
     extract_ngrams,
@@ -73,7 +72,6 @@ __all__ = [
     "METRICS",
     "MeteorParams",
     "MetricResult",
-    "NGramProfile",
     "PRESETS",
     "RougeLScore",
     "ScoreTable",

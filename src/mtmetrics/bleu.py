@@ -116,10 +116,10 @@ def bleu_corpus(hyps: Iterable[str], refs: Iterable[str],
         hyp_tokens += len(hyp_seq)
         ref_tokens += len(ref_seq)
         for n in range(1, config.max_n + 1):
-            hyp_counts = extract_ngrams(hyp_seq, n).counts
+            hyp_counts = extract_ngrams(hyp_seq, n)
             if not hyp_counts:
                 break  # shorter orders already empty implies longer ones are
-            ref_counts = extract_ngrams(ref_seq, n).counts
+            ref_counts = extract_ngrams(ref_seq, n)
             total[n - 1] += len(hyp_seq) - n + 1  # one n-gram per window
             correct[n - 1] += sum(
                 min(count, ref_counts.get(gram, 0))

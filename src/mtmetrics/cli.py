@@ -180,15 +180,20 @@ def run_compare(args: argparse.Namespace) -> int:
 
 
 def load_score_table(path) -> ScoreTable:
+    """Load a score-table JSON file; a leading byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: undecodable bytes ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     return ScoreTable.from_dict(data)
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .textnorm import Tokens, as_tokens
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,9 @@ class HleporParams:
     alpha and beta weight recall vs precision inside the harmonic
     precision/recall factor; w_lp, w_npp and w_hpr weight the three outer
     components. n is the context-window order carried by the tuned presets;
-    under the exact alignment used here it does not alter scores.
+    under the exact alignment used here it does not alter scores. The five
+    weights lie in [1e-300, 1e300], so that their sums and their products
+    with precision and recall neither overflow nor round to zero.
     """
 
     alpha: float = 9.0
@@ -43,8 +44,8 @@ class HleporParams:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "w_lp", "w_npp", "w_hpr"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not 1e-300 <= value <= 1e300:
+                raise ValueError(f"{name} must be between 1e-300 and 1e300, got {value}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -123,21 +124,19 @@ def length_penalty(hyp_len: int, ref_len: int) -> float:
     return math.exp(1.0 - hyp_len / ref_len)
 
 
-def align(hyp: Tokens, ref: Tokens) -> AlignmentMap:
+def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
     """Best exact-token alignment between hypothesis and reference.
 
     Maximum cardinality first; among those, minimum total normalized
     position difference sum(|i/len_hyp - j/len_ref|); remaining ties go to
     the lexicographically smallest sorted pair list.
     """
-    hyp_toks = as_tokens(hyp)
-    ref_toks = as_tokens(ref)
-    lh, lr = len(hyp_toks), len(ref_toks)
+    lh, lr = len(hyp), len(ref)
     hyp_pos: dict[str, list[int]] = {}
-    for i, tok in enumerate(hyp_toks):
+    for i, tok in enumerate(hyp):
         hyp_pos.setdefault(tok, []).append(i)
     ref_pos: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref_toks):
+    for j, tok in enumerate(ref):
         ref_pos.setdefault(tok, []).append(j)
 
     pairs: list[tuple[int, int]] = []
@@ -195,7 +194,7 @@ def _combine(lp: float, npos_penal: float, hpr_value: float, params: HleporParam
     )
 
 
-def hlepor_sentence(hyp: Tokens, ref: Tokens,
+def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
                     params: HleporParams | None = None) -> HleporBreakdown:
     """Sentence score with the full component breakdown.
 
@@ -204,11 +203,9 @@ def hlepor_sentence(hyp: Tokens, ref: Tokens,
     """
     if params is None:
         params = HleporParams()
-    hyp_toks = as_tokens(hyp)
-    ref_toks = as_tokens(ref)
-    lh, lr = len(hyp_toks), len(ref_toks)
+    lh, lr = len(hyp), len(ref)
     lp = length_penalty(lh, lr)
-    alignment = align(hyp_toks, ref_toks)
+    alignment = align(hyp, ref)
     npd_value = npd(alignment, lh, lr)
     npos_penal = math.exp(-npd_value)
     matched = len(alignment)
@@ -226,7 +223,7 @@ def hlepor_sentence(hyp: Tokens, ref: Tokens,
     )
 
 
-def hlepor_corpus(pairs: Iterable[tuple[Tokens, Tokens]],
+def hlepor_corpus(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
                   params: HleporParams | None = None,
                   aggregation: str = "mean") -> float:
     """Corpus score on a 0-100 scale.
@@ -249,9 +246,8 @@ def hlepor_corpus(pairs: Iterable[tuple[Tokens, Tokens]],
     total_h = total_r = total_m = 0
     pd_sums: list[float] = []
     for h, r in pair_list:
-        hyp_toks, ref_toks = as_tokens(h), as_tokens(r)
-        lh, lr = len(hyp_toks), len(ref_toks)
-        alignment = align(hyp_toks, ref_toks)
+        lh, lr = len(h), len(r)
+        alignment = align(h, r)
         total_h += lh
         total_r += lr
         total_m += len(alignment)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .hlepor import AlignmentMap, align
-from .textnorm import Tokens, as_tokens
 
 
 @dataclass(frozen=True)
@@ -45,33 +45,24 @@ class MeteorParams:
             raise ValueError("gamma must be in [0, 1)")
 
 
-def lcs_length(a: Tokens, b: Tokens) -> int:
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token sequences."""
-    a_toks = as_tokens(a)
-    b_toks = as_tokens(b)
-    if not a_toks or not b_toks:
+    if not a or not b:
         return 0
     vocab: dict[str, int] = {}
-
-    def codes(tokens: tuple[str, ...]) -> np.ndarray:
-        arr = np.empty(len(tokens), dtype=np.int64)
-        for i, tok in enumerate(tokens):
-            arr[i] = vocab.setdefault(tok, len(vocab))
-        return arr
-
-    return _kernels.lcs_length_codes(codes(a_toks), codes(b_toks))
+    a_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in a], dtype=np.int64)
+    b_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in b], dtype=np.int64)
+    return _kernels.lcs_length_codes(a_codes, b_codes)
 
 
-def rouge_l_f1(hyp: Tokens, ref: Tokens) -> RougeLScore:
+def rouge_l_f1(hyp: Sequence[str], ref: Sequence[str]) -> RougeLScore:
     """LCS-based precision, recall and F1. Two empty segments count as a
     perfect match so the function is total."""
-    hyp_toks = as_tokens(hyp)
-    ref_toks = as_tokens(ref)
-    if not hyp_toks and not ref_toks:
+    if not hyp and not ref:
         return RougeLScore(1.0, 1.0, 1.0, 0)
-    lcs = lcs_length(hyp_toks, ref_toks)
-    precision = lcs / len(hyp_toks) if hyp_toks else 0.0
-    recall = lcs / len(ref_toks) if ref_toks else 0.0
+    lcs = lcs_length(hyp, ref)
+    precision = lcs / len(hyp) if hyp else 0.0
+    recall = lcs / len(ref) if ref else 0.0
     if precision + recall == 0.0:
         f1 = 0.0
     else:
@@ -90,19 +81,17 @@ def _chunk_count(alignment: AlignmentMap) -> int:
     return chunks
 
 
-def meteor_exact(hyp: Tokens, ref: Tokens,
+def meteor_exact(hyp: Sequence[str], ref: Sequence[str],
                  params: MeteorParams | None = None) -> float:
     """Exact-surface-match METEOR score in [0, 1]. Zero matches score 0."""
     if params is None:
         params = MeteorParams()
-    hyp_toks = as_tokens(hyp)
-    ref_toks = as_tokens(ref)
-    alignment = align(hyp_toks, ref_toks)
+    alignment = align(hyp, ref)
     matched = len(alignment)
     if matched == 0:
         return 0.0
-    precision = matched / len(hyp_toks)
-    recall = matched / len(ref_toks)
+    precision = matched / len(hyp)
+    recall = matched / len(ref)
     f_mean = precision * recall / (
         params.alpha * precision + (1.0 - params.alpha) * recall
     )

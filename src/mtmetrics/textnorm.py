@@ -1,7 +1,9 @@
 """Text normalization, tokenization, and n-gram extraction.
 
-Every metric in the package consumes token sequences produced here, so the
-rules are frozen and fixture-tested:
+Every metric in the package consumes the tokens produced here, so the
+rules are frozen and fixture-tested. Tokens are tuples of str, and every
+metric function takes any sequence of str; ``extract_ngrams`` returns a
+``Counter`` of n-token tuples.
 
 ``13a``
     Language-independent punctuation splitting in the style of the WMT
@@ -34,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence
 
 SCHEMES = ("13a", "whitespace", "none")
 
@@ -80,31 +82,15 @@ class TokenizerConfig:
         return {"13a": "13a", "whitespace": "ws", "none": "none"}[self.scheme]
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Ordered tokens of one segment plus the settings that produced them."""
+class TokenSequence(tuple):
+    """The tokens of one segment, as a tuple. ``tokens`` returns the tuple
+    itself; it stays while ``perfbench`` reads ``tokenize(...).tokens``."""
 
-    tokens: tuple[str, ...]
-    config: TokenizerConfig
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
-
-    def __getitem__(self, index):
-        return self.tokens[index]
-
-
-Tokens = Union[TokenSequence, Sequence[str]]
-
-
-def as_tokens(seq: Tokens) -> tuple[str, ...]:
-    """Accept a TokenSequence or any sequence of strings."""
-    if isinstance(seq, TokenSequence):
-        return seq.tokens
-    return tuple(seq)
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return self
 
 
 def _normalize_13a(text: str) -> str:
@@ -140,31 +126,18 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> TokenSequence:
         tokens = [tok for tok in text.split(" ") if tok]
     if config.lowercase:
         tokens = [tok.lower() for tok in tokens]
-    return TokenSequence(tuple(tokens), config)
+    return TokenSequence(tokens)
 
 
-@dataclass(frozen=True)
-class NGramProfile:
-    """Multiset of the contiguous n-token windows of one sequence."""
-
-    order: int
-    counts: Counter
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def extract_ngrams(seq: Tokens, n: int) -> NGramProfile:
+def extract_ngrams(seq: Sequence[str], n: int) -> Counter:
     """Count every contiguous n-token window of `seq`.
 
-    Sequences shorter than `n` yield an empty profile; `n` must be >= 1.
+    Sequences shorter than `n` yield an empty counter; `n` must be >= 1.
     """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    tokens = as_tokens(seq)
-    if len(tokens) < n:  # common for short segments; skips building n copies
-        return NGramProfile(n, Counter())
+    if len(seq) < n:  # common for short segments; skips building n copies
+        return Counter()
     # The i-th shifted copy supplies the i-th token of every window; zip
-    # stops at the shortest, so exactly len(tokens) - n + 1 windows result.
-    counts = Counter(zip(*[tokens[i:] for i in range(n)]))
-    return NGramProfile(n, counts)
+    # stops at the shortest, so exactly len(seq) - n + 1 windows result.
+    return Counter(zip(*[seq[i:] for i in range(n)]))

@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -257,6 +258,8 @@ def test_output_contains_signature_for_every_command(parallel_files, tmp_path, c
     (["--smoothing", "add-k", "--smooth-k", "-1"], "--smooth-k"),
     (["--hlepor-params", "inf,1,2,1,1,1"], "--hlepor-params"),
     (["--meteor-params", "0.9,inf,0.5"], "--meteor-params"),
+    (["--hlepor-params", "5e-324,5e-324,1,5e-324,5e-324,5e-324"], "--hlepor-params"),
+    (["--hlepor-params", "1e308,1e308,2,1e308,1e308,1e308"], "--hlepor-params"),
 ])
 def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
     hyp, ref = parallel_files
@@ -320,12 +323,36 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
     # An integer literal beyond the float range is a JSON number but no finite score.
     pytest.param('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 1%s}]}'
                  % ("0" * 400), [], "row 1", id="integer-beyond-float-range"),
+    # Bytes that are not UTF-8, at the start (a UTF-16 byte-order mark) or in a label.
+    pytest.param(b'\xff\xfe{"rows": []}', [], "scores.json: undecodable bytes",
+                 id="utf16-bom"),
+    pytest.param(b'{"rows": [{"system": "a\x80", "task": "t", "metric": "m", "value": 1}]}',
+                 [], "scores.json: undecodable bytes", id="undecodable-label"),
+    pytest.param("[" * 100_000 + "]" * 100_000, [], "scores.json: JSON nested too deeply",
+                 id="nested-100k-deep"),
 ])
 def test_matrix_bad_score_table_exits_2(tmp_path, capsys, body, extra, named):
     path = tmp_path / "scores.json"
-    path.write_text(body, encoding="utf-8")
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     code = main(["matrix", "--scores", str(path), *extra])
     captured = capsys.readouterr()
     assert code == 2
     assert named in captured.err
     assert captured.out == ""
+
+
+def test_matrix_score_table_with_bom_matches_without(tmp_path, capsys):
+    body = json.dumps({"rows": [
+        {"system": "a", "task": "t", "metric": "m", "value": 1.5},
+        {"system": "b", "task": "t", "metric": "m", "value": 2.5},
+    ]}).encode("utf-8")
+    plain = tmp_path / "plain.json"
+    plain.write_bytes(body)
+    with_bom = tmp_path / "bom.json"
+    with_bom.write_bytes(codecs.BOM_UTF8 + body)
+    assert main(["matrix", "--scores", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["matrix", "--scores", str(with_bom)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""

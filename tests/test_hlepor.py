@@ -287,3 +287,20 @@ def test_params_validation():
         HleporParams(alpha=0.0)
     with pytest.raises(ValueError):
         HleporParams(n=0)
+
+
+# Weights are bounded to [1e-300, 1e300]: below, alpha * precision rounded to
+# zero and hpr divided by zero; above, the weight sums overflowed to nan.
+@pytest.mark.parametrize("value", [5e-324, 1e-301, 1e301, 1e308])
+def test_params_outside_range_rejected(value):
+    for name in ("alpha", "beta", "w_lp", "w_npp", "w_hpr"):
+        with pytest.raises(ValueError, match=name):
+            HleporParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+def test_params_at_range_edges_score_finite(value):
+    params = HleporParams(value, value, 2, value, value, value)
+    for hyp, ref in ((["the", "the"], ["the", "cat"]), (["a"], ["a"]), (["a"], ["b", "a"])):
+        score = hlepor_sentence(hyp, ref, params).score
+        assert 0.0 <= score <= 1.0

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mtmetrics.textnorm import (
-    NGramProfile,
     TokenizerConfig,
     TokenSequence,
     extract_ngrams,
@@ -174,16 +173,16 @@ def test_determinism(text):
 
 
 def test_extract_ngrams_fixture_bigrams():
-    profile = extract_ngrams(["the", "cat", "the", "cat"], 2)
-    assert profile.counts == {("the", "cat"): 2, ("cat", "the"): 1}
+    counts = extract_ngrams(["the", "cat", "the", "cat"], 2)
+    assert counts == {("the", "cat"): 2, ("cat", "the"): 1}
 
 
 def test_extract_ngrams_short_sequence_empty():
-    assert extract_ngrams(["a"], 2).counts == {}
+    assert extract_ngrams(["a"], 2) == {}
 
 
 def test_extract_ngrams_unigrams():
-    assert extract_ngrams(["a", "b"], 1).counts == {("a",): 1, ("b",): 1}
+    assert extract_ngrams(["a", "b"], 1) == {("a",): 1, ("b",): 1}
 
 
 def test_extract_ngrams_rejects_order_zero():
@@ -193,19 +192,21 @@ def test_extract_ngrams_rejects_order_zero():
 
 @given(st.lists(st.sampled_from("abc"), max_size=20), st.integers(1, 6))
 def test_ngram_total_count(tokens, n):
-    profile = extract_ngrams(tokens, n)
-    assert profile.total() == max(0, len(tokens) - n + 1)
+    counts = extract_ngrams(tokens, n)
+    assert counts.total() == max(0, len(tokens) - n + 1)
 
 
 @given(st.lists(st.sampled_from("abc"), max_size=20), st.integers(1, 6))
 def test_ngram_counts_match_brute_force(tokens, n):
-    assert extract_ngrams(tokens, n).counts == bf_ngram_counts(tokens, n)
+    assert extract_ngrams(tokens, n) == bf_ngram_counts(tokens, n)
 
 
-def test_token_sequence_carries_config():
+def test_token_sequence_is_a_tuple():
     seq = tokenize("A b", LC_13A)
     assert isinstance(seq, TokenSequence)
-    assert seq.config == LC_13A
+    assert isinstance(seq, tuple)
+    assert seq == ("a", "b")
+    assert seq.tokens is seq
 
 
 def test_config_is_immutable():

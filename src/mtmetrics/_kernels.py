@@ -1,17 +1,24 @@
 """Integer dynamic-programming kernels shared by the metrics.
 
-Both kernels are numpy row updates over int64 arrays: integer arithmetic
-only, so results are exact. Plain-list reference versions of the same
-recurrences live in ``tests/oracles.py``.
+Both kernels take int64 numpy code arrays and compute with integers only,
+so results are exact. ``lcs_length_codes`` is bit-parallel over Python
+ints (Allison & Dix 1986; Hyyrö 2004): one big-int add/or update per
+code of ``a``. ``ordered_selection`` is a numpy row DP and imports numpy
+only when it runs, so importing this module does not load numpy.
+Plain-list reference versions of both recurrences live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sentinel for "no feasible assignment". Costs are bounded by len^2 per pair,
 # so INF + cost stays far below the int64 limit.
-_INF = np.int64(2) ** 62
+_INF = 2 ** 62
 
 
 def active_backend() -> str:
@@ -21,15 +28,17 @@ def active_backend() -> str:
 
 def lcs_length_codes(a: np.ndarray, b: np.ndarray) -> int:
     """LCS length of two int64 code arrays."""
-    # Row recurrence cur[j] = max(prev[j], prev[j-1] + eq, cur[j-1]); the
-    # cur[j-1] chain collapses into a running maximum over the row.
-    if a.size == 0 or b.size == 0:
-        return 0
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    for i in range(a.size):
-        cand = np.maximum(prev[1:], prev[:-1] + (b == a[i]))
-        prev[1:] = np.maximum.accumulate(cand)
-    return int(prev[-1])
+    # After each code of `a`, bit j of v is 0 exactly where the LCS table
+    # row steps up at column j of `b`, so the zero bits of v count the LCS.
+    masks: dict[int, int] = {}
+    for j, code in enumerate(b.tolist()):
+        masks[code] = masks.get(code, 0) | (1 << j)
+    full = (1 << b.size) - 1
+    v = full
+    for code in a.tolist():
+        u = v & masks.get(code, 0)
+        v = ((v + u) | (v - u)) & full
+    return b.size - v.bit_count()
 
 
 def ordered_selection(small: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -39,6 +48,8 @@ def ordered_selection(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     for each small element, the index of its assigned big element; on equal
     cost the earliest big slot wins.
     """
+    import numpy as np
+
     # Suffix DP h[i][j] = cheapest completion for small[i:] against big[j:],
     # then a forward pass that prefers matching the earliest big slot on ties.
     p = small.size

@@ -214,16 +214,16 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
         columns["bleu"] = []
 
     for index, (hyp_seq, ref_seq) in enumerate(zip(hyp_seqs, ref_seqs)):
-        try:
-            for metric_id, score in scorers:
-                columns[metric_id].append(score(hyp_seq, ref_seq, config))
-        except ValueError as exc:
-            raise InputError(f"segment {index + 1}: {exc}") from exc
+        for metric_id, score in scorers:
+            columns[metric_id].append(score(hyp_seq, ref_seq, config))
         if seg_bleu_config is not None:
-            columns["bleu"].append(
-                bleu_corpus([hyp_list[index]], [ref_list[index]], seg_bleu_config).score
-                if len(hyp_seq) else 0.0
-            )
+            if hyp_seq:
+                value = bleu_corpus([hyp_list[index]], [ref_list[index]], seg_bleu_config).score
+            else:
+                # An empty hypothesis has no n-grams: it scores 0, unless the
+                # reference is empty too, which is a perfect match.
+                value = 0.0 if ref_seq else 100.0
+            columns["bleu"].append(value)
 
     results: dict[str, MetricResult] = {}
     bleu_report = None

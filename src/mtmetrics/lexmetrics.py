@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels
 from .hlepor import AlignmentMap, align
 
@@ -49,6 +47,8 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token sequences."""
     if not a or not b:
         return 0
+    import numpy as np
+
     vocab: dict[str, int] = {}
     a_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in a], dtype=np.int64)
     b_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in b], dtype=np.int64)
@@ -83,13 +83,14 @@ def _chunk_count(alignment: AlignmentMap) -> int:
 
 def meteor_exact(hyp: Sequence[str], ref: Sequence[str],
                  params: MeteorParams | None = None) -> float:
-    """Exact-surface-match METEOR score in [0, 1]. Zero matches score 0."""
+    """Exact-surface-match METEOR score in [0, 1]. Zero matches score 0,
+    except that two empty segments are a perfect match and score 1."""
     if params is None:
         params = MeteorParams()
     alignment = align(hyp, ref)
     matched = len(alignment)
     if matched == 0:
-        return 0.0
+        return 0.0 if hyp or ref else 1.0
     precision = matched / len(hyp)
     recall = matched / len(ref)
     f_mean = precision * recall / (

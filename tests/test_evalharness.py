@@ -364,9 +364,14 @@ def test_tsv_wrong_column_count(tmp_path):
         read_tsv(str(path))
 
 
-def test_empty_segment_pair_reports_segment_number():
-    with pytest.raises(InputError, match="segment 2"):
-        evaluate_pairs(["a", ""], ["a", ""], ("hlepor",))
+def test_empty_segment_pair_is_perfect_match():
+    config = EvalConfig(segment_bleu=True)
+    report = evaluate_pairs(["a b c d", "", ""], ["a b c d", "", "x"], METRICS, config)
+    segments = {m: result.segments for m, result in report.metrics.items()}
+    assert segments["bleu"][1:] == (100.0, 0.0)
+    assert segments["hlepor"][1:] == (100.0, 0.0)
+    assert segments["meteor"][1:] == (1.0, 0.0)
+    assert segments["rouge-l"][1:] == (1.0, 0.0)
 
 
 def test_segment_bleu_forces_exp_smoothing():

@@ -7,6 +7,7 @@ from mtmetrics.errors import InputError
 from mtmetrics.hlepor import (
     PRESETS,
     AlignmentMap,
+    HleporBreakdown,
     HleporParams,
     align,
     hlepor_corpus,
@@ -177,9 +178,11 @@ def test_sentence_hand_trace_en_es_preset():
     assert breakdown.score == pytest.approx(expected, abs=1e-12)
 
 
-def test_sentence_both_empty_is_error():
-    with pytest.raises(ValueError):
-        hlepor_sentence([], [])
+def test_sentence_both_empty_is_perfect_match():
+    breakdown = hlepor_sentence([], [])
+    assert breakdown == HleporBreakdown(lp=1.0, npd=0.0, npos_penal=1.0, precision=1.0,
+                                        recall=1.0, hpr=1.0, score=1.0)
+    assert hlepor_sentence([], ["a"]).score == hlepor_sentence(["a"], []).score == 0.0
 
 
 @settings(max_examples=400, deadline=None)

@@ -32,6 +32,25 @@ def test_lcs_matches_reference_dp():
         assert lcs_length_codes(b, a) == dp_lcs(b.tolist(), a.tolist())
 
 
+def test_lcs_matches_reference_dp_at_word_boundaries():
+    # The kernel keeps one bit per code of `b`; lengths around 64-bit word
+    # boundaries and a long pair over a small alphabet stress the carries.
+    rng = random.Random(29)
+    lengths = (1, 63, 64, 65, 128)
+    for m in lengths:
+        for n in lengths:
+            for vocab in (2, 5, 40):
+                a = np.array([rng.randrange(vocab) for _ in range(m)], dtype=np.int64)
+                b = np.array([rng.randrange(vocab) for _ in range(n)], dtype=np.int64)
+                assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
+    same = np.zeros(64, dtype=np.int64)
+    assert lcs_length_codes(same, same) == 64
+    a = np.array([rng.randrange(3) for _ in range(300)], dtype=np.int64)
+    b = np.array([rng.randrange(3) for _ in range(500)], dtype=np.int64)
+    assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
+    assert lcs_length_codes(b, a) == dp_lcs(b.tolist(), a.tolist())
+
+
 def selection_cost(small, big, choice):
     return sum(abs(int(small[i]) - int(big[int(j)])) for i, j in enumerate(choice))
 

@@ -98,7 +98,8 @@ def test_meteor_identical_matches_closed_form():
 
 def test_meteor_no_matches():
     assert meteor_exact(["x"], ["y"]) == 0.0
-    assert meteor_exact([], []) == 0.0
+    assert meteor_exact([], ["y"]) == 0.0
+    assert meteor_exact([], []) == 1.0  # two empty segments are a perfect match
 
 
 def test_meteor_two_chunks_worked_example():

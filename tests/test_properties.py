@@ -94,20 +94,22 @@ def test_lcs_at_least_longest_meteor_chunk(hyp, ref):
 
 
 @settings(max_examples=200, deadline=None)
-@given(nonempty_tokens, tokens)
+@given(tokens, tokens)
 def test_identity_pair_scores_the_maximum(ref, other):
     assert hlepor_sentence(ref, ref).score == 1.0
     assert rouge_l_f1(ref, ref).f1 == 1.0
-    # METEOR keeps a fragmentation penalty for the one chunk of an identity
-    # pair; no hypothesis scores higher against the same reference.
+    # METEOR keeps a fragmentation penalty for the one chunk of a non-empty
+    # identity pair; no hypothesis scores higher against the same reference.
     params = MeteorParams()
     identity = meteor_exact(ref, ref, params)
-    assert identity == 1.0 - params.gamma * (1 / len(ref)) ** params.beta
+    assert identity == (1.0 - params.gamma * (1 / len(ref)) ** params.beta if ref else 1.0)
     assert meteor_exact(other, ref, params) <= identity
     assert hlepor_sentence(other, ref).score <= 1.0
     assert rouge_l_f1(other, ref).f1 <= 1.0
-    if len(ref) >= PRETOKENIZED.max_n:  # every order has an n-gram to match
-        assert _run([(ref, ref)]).metrics["bleu"].segments == (100.0,)
+    # Corpus BLEU needs a hypothesis token, which the second pair supplies.
+    if not ref or len(ref) >= PRETOKENIZED.max_n:  # every order has an n-gram to match
+        segments = _run([(ref, ref), (VOCAB, VOCAB)]).metrics["bleu"].segments
+        assert segments[0] == 100.0
 
 
 def test_every_exported_name_resolves():

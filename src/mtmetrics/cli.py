@@ -74,7 +74,7 @@ def _config_from_args(args: argparse.Namespace) -> EvalConfig:
             max_n=args.max_n,
             smoothing=args.smoothing,
             smooth_k=args.smooth_k,
-            segment_bleu=args.segment_bleu,
+            segment_bleu=getattr(args, "segment_bleu", False),  # score only
         )
     except ValueError as exc:  # only the BLEU fields are checked here
         raise InputError(f"--max-n/--smooth-k: {exc}") from None
@@ -122,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default="none", help="BLEU smoothing (default: none)")
     metric_common.add_argument("--smooth-k", type=float, default=1.0,
                                help="k for add-k smoothing (default: 1.0)")
-    metric_common.add_argument("--segment-bleu", action="store_true",
-                               help="also emit per-segment BLEU (forces exp smoothing)")
 
     p_score = sub.add_parser("score", parents=[fmt_common, metric_common],
                              help="score one metric over a corpus")
@@ -131,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--hyp", help="hypothesis file, one segment per line")
     p_score.add_argument("--ref", help="reference file, line-aligned with --hyp")
     p_score.add_argument("--tsv", help="two-column hypothesis<TAB>reference file")
+    p_score.add_argument("--segment-bleu", action="store_true",
+                         help="also emit per-segment BLEU (forces exp smoothing)")
 
     p_compare = sub.add_parser("compare", parents=[fmt_common, metric_common],
                                help="compare two systems against one reference")

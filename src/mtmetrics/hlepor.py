@@ -115,11 +115,7 @@ def length_penalty(hyp_len: int, ref_len: int) -> float:
         raise ValueError("cannot compare two empty segments")
     if hyp_len == 0 or ref_len == 0:
         return 0.0
-    if hyp_len == ref_len:
-        return 1.0
-    if hyp_len < ref_len:
-        return math.exp(1.0 - ref_len / hyp_len)
-    return math.exp(1.0 - hyp_len / ref_len)
+    return math.exp(1.0 - max(hyp_len, ref_len) / min(hyp_len, ref_len))
 
 
 def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
@@ -145,20 +141,15 @@ def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
         if len(hp) == len(rp):
             pairs.extend(zip(hp, rp))
             continue
-        import numpy as np
-
+        # Costs |i/lh - j/lr| over the common denominator lh*lr keep the DP in
+        # exact integers; the side with fewer occurrences goes into the other.
+        hyp_codes = _kernels.Codes(i * lr for i in hp)
+        ref_codes = _kernels.Codes(j * lh for j in rp)
         if len(hp) < len(rp):
-            # Costs |i/lh - j/lr| compared over the common denominator lh*lr,
-            # so the DP stays in exact integers.
-            small = np.asarray(hp, dtype=np.int64) * lr
-            big = np.asarray(rp, dtype=np.int64) * lh
-            choice = _kernels.ordered_selection(small, big)
-            pairs.extend((hp[i], rp[int(choice[i])]) for i in range(len(hp)))
+            chosen = zip(hp, map(rp.__getitem__, _kernels.ordered_selection(hyp_codes, ref_codes)))
         else:
-            small = np.asarray(rp, dtype=np.int64) * lh
-            big = np.asarray(hp, dtype=np.int64) * lr
-            choice = _kernels.ordered_selection(small, big)
-            pairs.extend((hp[int(choice[j])], rp[j]) for j in range(len(rp)))
+            chosen = zip(map(hp.__getitem__, _kernels.ordered_selection(ref_codes, hyp_codes)), rp)
+        pairs.extend(chosen)
     pairs.sort()
     return AlignmentMap(tuple(pairs))
 
@@ -259,6 +250,8 @@ def hlepor_corpus(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
         total_r += lr
         total_m += len(alignment)
         pd_sums.append(npd(alignment, lh, lr) * lh)
+    if total_h == 0 and total_r == 0:
+        return 100.0  # only empty pairs: a perfect match, as in the mean mode
     lp = length_penalty(total_h, total_r)
     npos_penal = math.exp(-(math.fsum(pd_sums) / total_h)) if total_h else 1.0
     hpr_value = hpr(total_m, total_h, total_r, params.alpha, params.beta)

@@ -47,11 +47,9 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token sequences."""
     if not a or not b:
         return 0
-    import numpy as np
-
     vocab: dict[str, int] = {}
-    a_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in a], dtype=np.int64)
-    b_codes = np.array([vocab.setdefault(tok, len(vocab)) for tok in b], dtype=np.int64)
+    a_codes = _kernels.Codes(vocab.setdefault(tok, len(vocab)) for tok in a)
+    b_codes = _kernels.Codes(vocab.setdefault(tok, len(vocab)) for tok in b)
     return _kernels.lcs_length_codes(a_codes, b_codes)
 
 

@@ -147,6 +147,17 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
     assert "wer" in capsys.readouterr().err
 
 
+def test_segment_bleu_is_a_score_option_only(parallel_files, capsys):
+    hyp, ref = parallel_files
+    code = main(["compare", "--before", hyp, "--after", hyp, "--ref", ref,
+                 "--metrics", "bleu", "--segment-bleu"])
+    assert code == 2
+    assert "--segment-bleu" in capsys.readouterr().err
+    assert main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref,
+                 "--segment-bleu"]) == 0
+    assert "seg-bleu:exp" in capsys.readouterr().out
+
+
 def matrix_fixture_path(tmp_path):
     rows = []
     fixture = {

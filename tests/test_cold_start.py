@@ -1,7 +1,7 @@
-"""numpy is loaded only by the commands that run a kernel.
+"""No command loads numpy, and every command runs where numpy cannot load.
 
 Each case runs ``cli.main`` in a fresh interpreter, because numpy stays in
-``sys.modules`` once any test in this process has imported it.
+``sys.modules`` once anything in this process has imported it.
 """
 
 import json
@@ -13,19 +13,34 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# argv[1] is "block" or "allow". A None entry in sys.modules makes every
+# `import numpy` raise ImportError, as on an interpreter without numpy.
 PROBE = """
 import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
 from mtmetrics.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[2:])
+print(json.dumps({"code": code, "numpy": sys.modules.get("numpy") is not None,
+                  "stdout": out.getvalue()}))
 """
 
+COMMANDS = {
+    "version": ["--version"],
+    **{f"score-{metric}": ["score", "--metric", metric]
+       for metric in ("bleu", "hlepor", "meteor", "rouge-l")},
+    "score-segment-bleu": ["score", "--metric", "bleu", "--segment-bleu"],
+    "compare": ["compare"],
+    "matrix": ["matrix"],
+}
 
-def run_probe(argv):
+
+def run_probe(mode, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", PROBE, mode, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -35,7 +50,8 @@ def files(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
     table = tmp_path / "table.json"
-    hyp.write_text("the cat sat on the mat\na dog ran\n", encoding="utf-8")
+    # Repeated forms with unequal counts, so the selection kernel runs.
+    hyp.write_text("the cat sat on the mat the end\na dog ran\n", encoding="utf-8")
     ref.write_text("the cat sat on a mat\nthe dog ran\n", encoding="utf-8")
     table.write_text(json.dumps({"rows": [
         {"system": "A", "task": "t", "metric": "BLEU", "value": 1.0},
@@ -44,17 +60,23 @@ def files(tmp_path):
     return {"hyp": str(hyp), "ref": str(ref), "table": str(table)}
 
 
-@pytest.mark.parametrize("command, loads_numpy", [
-    (["--version"], False),
-    (["score", "--metric", "bleu"], False),
-    (["score", "--metric", "bleu", "--segment-bleu"], False),
-    (["matrix"], False),
-    # The control case: the probe does see numpy once a kernel has run.
-    (["score", "--metric", "rouge-l"], True),
-])
-def test_numpy_loads_only_when_a_kernel_runs(command, loads_numpy, files):
+def full_command(name, files):
+    command = COMMANDS[name]
     if command[0] == "score":
-        command = [*command, "--hyp", files["hyp"], "--ref", files["ref"]]
-    elif command[0] == "matrix":
-        command = [*command, "--scores", files["table"]]
-    assert run_probe(command) == {"code": 0, "numpy": loads_numpy}
+        return [*command, "--hyp", files["hyp"], "--ref", files["ref"]]
+    if command[0] == "compare":
+        return [*command, "--before", files["hyp"], "--after", files["ref"],
+                "--ref", files["ref"]]
+    if command[0] == "matrix":
+        return [*command, "--scores", files["table"]]
+    return command
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_command_needs_numpy(name, files):
+    command = full_command(name, files)
+    allowed = run_probe("allow", command)
+    blocked = run_probe("block", command)
+    assert (allowed["code"], allowed["numpy"]) == (0, False)
+    assert allowed["stdout"]
+    assert (blocked["code"], blocked["stdout"]) == (0, allowed["stdout"])

@@ -256,6 +256,12 @@ def test_corpus_counts_aggregation_identical():
     assert hlepor_corpus(pairs, aggregation="counts") == 100.0
 
 
+@pytest.mark.parametrize("aggregation", ["mean", "counts"])
+def test_corpus_of_empty_pairs_scores_100(aggregation):
+    assert hlepor_corpus([((), ())], aggregation=aggregation) == 100.0
+    assert hlepor_corpus([((), ())] * 3, aggregation=aggregation) == 100.0
+
+
 # --- presets ----------------------------------------------------------------
 
 def test_preset_en_de():

@@ -1,17 +1,12 @@
 import random
 from itertools import combinations
 
-import numpy as np
-
 from mtmetrics._kernels import lcs_length_codes, ordered_selection
 from oracles import bf_best_matching, bf_lcs, dp_lcs, dp_ordered_selection
 
 
 def random_codes(rng, max_len=12, vocab=4):
-    return np.array(
-        [rng.randrange(vocab) for _ in range(rng.randrange(max_len + 1))],
-        dtype=np.int64,
-    )
+    return [rng.randrange(vocab) for _ in range(rng.randrange(max_len + 1))]
 
 
 def test_lcs_numpy_matches_enumeration():
@@ -19,7 +14,7 @@ def test_lcs_numpy_matches_enumeration():
     for _ in range(200):
         a = random_codes(rng, max_len=8, vocab=3)
         b = random_codes(rng, max_len=8, vocab=3)
-        assert lcs_length_codes(a, b) == bf_lcs(list(a), list(b))
+        assert lcs_length_codes(a, b) == bf_lcs(a, b)
 
 
 def test_lcs_matches_reference_dp():
@@ -28,8 +23,8 @@ def test_lcs_matches_reference_dp():
         vocab = rng.choice((2, 4, 12, 60))
         a = random_codes(rng, max_len=40, vocab=vocab)
         b = random_codes(rng, max_len=80, vocab=vocab)
-        assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
-        assert lcs_length_codes(b, a) == dp_lcs(b.tolist(), a.tolist())
+        assert lcs_length_codes(a, b) == dp_lcs(a, b)
+        assert lcs_length_codes(b, a) == dp_lcs(b, a)
 
 
 def test_lcs_matches_reference_dp_at_word_boundaries():
@@ -40,34 +35,43 @@ def test_lcs_matches_reference_dp_at_word_boundaries():
     for m in lengths:
         for n in lengths:
             for vocab in (2, 5, 40):
-                a = np.array([rng.randrange(vocab) for _ in range(m)], dtype=np.int64)
-                b = np.array([rng.randrange(vocab) for _ in range(n)], dtype=np.int64)
-                assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
-    same = np.zeros(64, dtype=np.int64)
+                a = [rng.randrange(vocab) for _ in range(m)]
+                b = [rng.randrange(vocab) for _ in range(n)]
+                assert lcs_length_codes(a, b) == dp_lcs(a, b)
+    same = [0] * 64
     assert lcs_length_codes(same, same) == 64
-    a = np.array([rng.randrange(3) for _ in range(300)], dtype=np.int64)
-    b = np.array([rng.randrange(3) for _ in range(500)], dtype=np.int64)
-    assert lcs_length_codes(a, b) == dp_lcs(a.tolist(), b.tolist())
-    assert lcs_length_codes(b, a) == dp_lcs(b.tolist(), a.tolist())
+    a = [rng.randrange(3) for _ in range(300)]
+    b = [rng.randrange(3) for _ in range(500)]
+    assert lcs_length_codes(a, b) == dp_lcs(a, b)
+    assert lcs_length_codes(b, a) == dp_lcs(b, a)
 
 
 def selection_cost(small, big, choice):
-    return sum(abs(int(small[i]) - int(big[int(j)])) for i, j in enumerate(choice))
+    return sum(abs(small[i] - big[j]) for i, j in enumerate(choice))
 
 
 def brute_force_selection(small, big):
     """Cheapest slot tuple; combinations() runs in lexicographic order, so
     on equal cost the earliest slots win."""
     best = None
-    for idxs in combinations(range(big.size), small.size):
-        cost = sum(abs(int(small[i]) - int(big[j])) for i, j in enumerate(idxs))
+    for idxs in combinations(range(len(big)), len(small)):
+        cost = sum(abs(small[i] - big[j]) for i, j in enumerate(idxs))
         if best is None or cost < best[0]:
             best = (cost, list(idxs))
     return best
 
 
 def random_ascending(rng, low, high, size):
-    return np.array(sorted(rng.sample(range(low, high), size)), dtype=np.int64)
+    return sorted(rng.sample(range(low, high), size))
+
+
+def scaled_positions(rng, p, q):
+    """Ascending `small` (p) and `big` (q) codes as align() builds them:
+    i * len(ref) against j * len(hyp), which makes equal-cost ties common."""
+    lh, lr = rng.randint(p, 2 * q), rng.randint(q, 2 * q)
+    small = [i * lr for i in sorted(rng.sample(range(lh), p))]
+    big = [j * lh for j in sorted(rng.sample(range(lr), q))]
+    return small, big
 
 
 def test_selection_matches_reference_dp():
@@ -75,13 +79,27 @@ def test_selection_matches_reference_dp():
     for _ in range(300):
         q = rng.randint(1, 80)
         p = rng.randint(1, min(q, 40))
-        # Scaled positions as align() builds them: i * len(ref) against
-        # j * len(hyp), which makes equal-cost ties common.
-        lh, lr = rng.randint(p, 2 * q), rng.randint(q, 2 * q)
-        small = np.array(sorted(rng.sample(range(lh), p)), dtype=np.int64) * lr
-        big = np.array(sorted(rng.sample(range(lr), q)), dtype=np.int64) * lh
-        expected = dp_ordered_selection(small.tolist(), big.tolist())
-        assert ordered_selection(small, big).tolist() == expected
+        small, big = scaled_positions(rng, p, q)
+        assert ordered_selection(small, big) == dp_ordered_selection(small, big)
+
+
+def test_selection_matches_reference_dp_at_band_edges():
+    # p = 1 has one DP row, p = q - 1 a band of two slots, p = q a band of
+    # one slot (every element takes the slot of its own index).
+    rng = random.Random(31)
+    for _ in range(100):
+        q = rng.randint(2, 30)
+        for p in (1, q - 1, q):
+            small, big = scaled_positions(rng, p, q)
+            assert ordered_selection(small, big) == dp_ordered_selection(small, big)
+    assert ordered_selection([5], [5]) == [0]
+    assert ordered_selection([0, 3, 9], [1, 2, 4]) == [0, 1, 2]
+
+
+def test_selection_matches_reference_dp_500_of_1000():
+    # The size of the long repeated form in the benchmark's long-rep corpus.
+    small, big = scaled_positions(random.Random(37), 500, 1000)
+    assert ordered_selection(small, big) == dp_ordered_selection(small, big)
 
 
 def test_selection_is_minimal():
@@ -93,15 +111,13 @@ def test_selection_is_minimal():
         small = random_ascending(rng, 0, 40, p)
         choice = ordered_selection(small, big)
         cost, earliest = brute_force_selection(small, big)
-        assert sorted(set(int(c) for c in choice)) == sorted(int(c) for c in choice)
+        assert sorted(set(choice)) == sorted(choice)
         assert selection_cost(small, big, choice) == cost
-        assert choice.tolist() == earliest
+        assert choice == earliest
 
 
 def test_selection_prefers_earliest_on_ties():
-    small = np.array([2], dtype=np.int64)
-    big = np.array([0, 4], dtype=np.int64)
-    assert ordered_selection(small, big).tolist() == [0]
+    assert ordered_selection([2], [0, 4]) == [0]
     assert dp_ordered_selection([2], [0, 4]) == [0]
 
 

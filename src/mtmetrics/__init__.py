@@ -24,6 +24,7 @@ from .evalharness import (
     evaluate_pairs,
     improvement_rate,
     read_lines,
+    read_score_table,
     read_tsv,
     render_report,
     run_signature,
@@ -95,6 +96,7 @@ __all__ = [
     "npd",
     "preset",
     "read_lines",
+    "read_score_table",
     "read_tsv",
     "render_report",
     "rouge_l_f1",

@@ -13,7 +13,6 @@ or embeds a settings signature sufficient to re-run it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -24,10 +23,10 @@ from .errors import InputError
 from .evalharness import (
     METRICS,
     EvalConfig,
-    ScoreTable,
     compare_files,
     evaluate_corpus,
     evaluate_pairs,
+    read_score_table,
     read_tsv,
     render_report,
     winner_matrix,
@@ -179,27 +178,9 @@ def run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def load_score_table(path) -> ScoreTable:
-    """Load a score-table JSON file; a leading byte-order mark is dropped."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: undecodable bytes ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise InputError(f"{path}: JSON nested too deeply") from None
-    return ScoreTable.from_dict(data)
-
-
 def run_matrix(args: argparse.Namespace) -> int:
     _require_file("--scores", args.scores)
-    matrix = winner_matrix(load_score_table(args.scores), decimals=args.decimals)
+    matrix = winner_matrix(read_score_table(args.scores), decimals=args.decimals)
     print(render_report(matrix, args.format))
     return 0
 

@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._version import SIGNATURE_VERSION
@@ -100,28 +101,28 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     return "|".join(parts)
 
 
-def read_lines(path) -> list[str]:
-    """Read a UTF-8 text file, one segment per line.
-
-    A leading byte-order mark is dropped. Undecodable bytes are reported
-    with their line number instead of a bare UnicodeDecodeError.
-    """
+def _read_text(path) -> str:
+    """A UTF-8 file's text without one leading byte-order mark. Read errors
+    and undecodable bytes, named by line, raise InputError."""
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise InputError(str(exc)) from None
-    chunks = data.removeprefix(codecs.BOM_UTF8).split(b"\n")
-    if chunks and chunks[-1] == b"":
-        chunks.pop()
-    lines = []
-    for number, chunk in enumerate(chunks, start=1):
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: line {number}: undecodable bytes ({exc.reason})") from None
-        lines.append(text.rstrip("\r"))
-    return lines
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: undecodable bytes at line {line} ({exc.reason})") from None
+
+
+def read_lines(path) -> list[str]:
+    """Read a UTF-8 text file, one segment per line. A leading byte-order
+    mark, the final newline and each line's trailing CRs are dropped."""
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]
 
 
 def read_tsv(path) -> tuple[list[str], list[str]]:
@@ -380,15 +381,6 @@ class ScoreTable:
         self.rows += _checked_rows([(system, task, metric, value)], self._keys,
                                    len(self.rows) + 1)
 
-    def systems(self) -> list[str]:
-        return sorted({row[0] for row in self.rows})
-
-    def tasks(self) -> list[str]:
-        return sorted({row[1] for row in self.rows})
-
-    def metric_ids(self) -> list[str]:
-        return sorted({row[2] for row in self.rows})
-
     def to_dict(self) -> dict:
         body: dict = {
             "rows": [
@@ -416,6 +408,20 @@ class ScoreTable:
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None
         return cls(rows, dict(scales))  # the constructor checks each row
+
+
+def read_score_table(path) -> ScoreTable:
+    """Load a score-table JSON file; a leading byte-order mark is dropped."""
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    return ScoreTable.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -458,7 +464,7 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
     """
     if not table.rows:
         raise InputError("empty score table")
-    systems = table.systems()
+    systems = set()
     values: dict[tuple[str, str], dict[str, float]] = {}
     for index, (system, task, metric, value) in enumerate(table.rows, start=1):
         if decimals is not None:
@@ -468,37 +474,30 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
                 raise InputError(
                     f"score table row {index}: cannot round {value!r} to {decimals} decimals"
                 ) from None
+        systems.add(system)
         values.setdefault((task, metric), {})[system] = value
 
     winners: dict[tuple[str, str], str] = {}
+    by_task: dict[str, dict[str, str]] = {}  # task -> metric -> winner
     skipped = []
-    for cell in sorted(values):
-        cell_values = values[cell]
+    for task, metric in sorted(values):
+        cell_values = values[task, metric]
         if len(cell_values) != len(systems):
-            skipped.append(cell)
+            skipped.append((task, metric))
             continue
         best = max(cell_values.values())
-        leaders = sorted(s for s, v in cell_values.items() if v == best)
-        winners[cell] = leaders[0] if len(leaders) == 1 else TIE
+        leaders = [s for s, v in cell_values.items() if v == best]
+        winner = leaders[0] if len(leaders) == 1 else TIE
+        winners[task, metric] = winner
+        by_task.setdefault(task, {})[metric] = winner
 
-    metrics = table.metric_ids()
-    tasks = table.tasks()
     agreement: dict[tuple[str, str], float] = {}
     compared: dict[tuple[str, str], int] = {}
-    for i, metric_a in enumerate(metrics):
-        for metric_b in metrics[i + 1:]:
-            shared = [
-                task for task in tasks
-                if (task, metric_a) in winners and (task, metric_b) in winners
-            ]
-            if not shared:
-                continue
-            agree = sum(
-                1 for task in shared
-                if winners[(task, metric_a)] == winners[(task, metric_b)]
-            )
-            agreement[(metric_a, metric_b)] = agree / len(shared)
-            compared[(metric_a, metric_b)] = len(shared)
+    for a, b in combinations(sorted({metric for _, metric in values}), 2):
+        both = [w for w in by_task.values() if a in w and b in w]
+        if both:
+            agreement[a, b] = sum(w[a] == w[b] for w in both) / len(both)
+            compared[a, b] = len(both)
     signature = f"matrix:v{SIGNATURE_VERSION}|decimals:{'none' if decimals is None else decimals}"
     return WinnerMatrix(winners, agreement, compared, tuple(skipped), signature)
 

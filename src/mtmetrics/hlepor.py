@@ -177,15 +177,6 @@ def hpr(aligned_num: int, hyp_len: int, ref_len: int,
     return ((alpha + beta) * precision * recall) / (alpha * precision + beta * recall)
 
 
-def _combine(lp: float, npos_penal: float, hpr_value: float, params: HleporParams) -> float:
-    if lp == 0.0 or hpr_value == 0.0:
-        return 0.0
-    weight_sum = params.w_lp + params.w_npp + params.w_hpr
-    return weight_sum / (
-        params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
-    )
-
-
 def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
                     params: HleporParams | None = None) -> HleporBreakdown:
     """Sentence score with the full component breakdown.
@@ -210,6 +201,12 @@ def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
     precision = matched / lh if lh else 0.0
     recall = matched / lr if lr else 0.0
     hpr_value = hpr(matched, lh, lr, params.alpha, params.beta)
+    if lp == 0.0 or hpr_value == 0.0:
+        score = 0.0
+    else:
+        score = (params.w_lp + params.w_npp + params.w_hpr) / (
+            params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
+        )
     return HleporBreakdown(
         lp=lp,
         npd=npd_value,
@@ -217,42 +214,16 @@ def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
         precision=precision,
         recall=recall,
         hpr=hpr_value,
-        score=_combine(lp, npos_penal, hpr_value, params),
+        score=score,
     )
 
 
 def hlepor_corpus(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-                  params: HleporParams | None = None,
-                  aggregation: str = "mean") -> float:
-    """Corpus score on a 0-100 scale.
-
-    ``mean`` (the default) averages sentence scores. ``counts`` pools the
-    lengths, matches, and position differences over the whole corpus and
-    scores the totals once.
-    """
-    pair_list = list(pairs)
-    if not pair_list:
-        raise InputError("empty corpus")
+                  params: HleporParams | None = None) -> float:
+    """Corpus score on a 0-100 scale: the mean of the sentence scores."""
     if params is None:
         params = HleporParams()
-    if aggregation == "mean":
-        scores = [hlepor_sentence(h, r, params).score for h, r in pair_list]
-        return 100.0 * math.fsum(scores) / len(scores)
-    if aggregation != "counts":
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-
-    total_h = total_r = total_m = 0
-    pd_sums: list[float] = []
-    for h, r in pair_list:
-        lh, lr = len(h), len(r)
-        alignment = align(h, r)
-        total_h += lh
-        total_r += lr
-        total_m += len(alignment)
-        pd_sums.append(npd(alignment, lh, lr) * lh)
-    if total_h == 0 and total_r == 0:
-        return 100.0  # only empty pairs: a perfect match, as in the mean mode
-    lp = length_penalty(total_h, total_r)
-    npos_penal = math.exp(-(math.fsum(pd_sums) / total_h)) if total_h else 1.0
-    hpr_value = hpr(total_m, total_h, total_r, params.alpha, params.beta)
-    return 100.0 * _combine(lp, npos_penal, hpr_value, params)
+    scores = [hlepor_sentence(h, r, params).score for h, r in pairs]
+    if not scores:
+        raise InputError("empty corpus")
+    return 100.0 * math.fsum(scores) / len(scores)

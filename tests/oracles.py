@@ -6,8 +6,10 @@ in its textbook one-regex-pass-per-rule form. Nothing here imports from
 the package under test, nor numpy.
 """
 
+import codecs
 import math
 import re
+from fractions import Fraction
 from itertools import combinations
 
 # The 13a rules as one regex pass each, with template replacements: the
@@ -149,3 +151,73 @@ def dp_ordered_selection(small, big):
             choice.append(j)
         j += 1
     return choice
+
+
+class UndecodableLine(ValueError):
+    """Raised by ref_read_lines; ``args[0]`` is the 1-based line number."""
+
+
+def ref_read_lines(data):
+    """The lines of a UTF-8 file's bytes, decoded one line at a time.
+
+    One leading byte-order mark and one trailing empty line are dropped, and
+    trailing carriage returns are stripped from every line. The first line
+    that does not decode raises UndecodableLine with its number.
+    """
+    chunks = data.removeprefix(codecs.BOM_UTF8).split(b"\n")
+    if chunks and chunks[-1] == b"":
+        chunks.pop()
+    lines = []
+    for number, chunk in enumerate(chunks, start=1):
+        try:
+            lines.append(chunk.decode("utf-8").rstrip("\r"))
+        except UnicodeDecodeError:
+            raise UndecodableLine(number) from None
+    return lines
+
+
+def ref_round_half_up(value, decimals):
+    """`value` (as its shortest decimal repr) rounded to `decimals` places,
+    halves away from zero, in exact rational arithmetic."""
+    scale = 10 ** decimals
+    steps = math.floor(abs(Fraction(repr(value))) * scale + Fraction(1, 2))
+    return math.copysign(float(Fraction(steps, scale)), value)
+
+
+def bf_winner_matrix(rows, decimals=None):
+    """(winners, skipped, agreement, compared) of (system, task, metric,
+    value) rows, recomputed task by task and metric by metric.
+
+    A cell is decided only when every system has a value for it; the one
+    largest value wins, and equal largest values give "TIE". Two metrics
+    agree on a task when both cells are decided with the same winner.
+    """
+    systems = sorted({row[0] for row in rows})
+    tasks = sorted({row[1] for row in rows})
+    metrics = sorted({row[2] for row in rows})
+    value = {
+        (s, t, m): v if decimals is None else ref_round_half_up(v, decimals)
+        for s, t, m, v in rows
+    }
+    winners = {}
+    skipped = []
+    for t in tasks:
+        for m in metrics:
+            present = [s for s in systems if (s, t, m) in value]
+            if not present:
+                continue
+            if len(present) < len(systems):
+                skipped.append((t, m))
+                continue
+            best = max(value[s, t, m] for s in systems)
+            leaders = [s for s in systems if value[s, t, m] == best]
+            winners[t, m] = leaders[0] if len(leaders) == 1 else "TIE"
+    agreement = {}
+    compared = {}
+    for a, b in combinations(metrics, 2):
+        shared = [t for t in tasks if (t, a) in winners and (t, b) in winners]
+        if shared:
+            agree = sum(1 for t in shared if winners[t, a] == winners[t, b])
+            agreement[a, b] = agree / len(shared)
+            compared[a, b] = len(shared)
+    return winners, skipped, agreement, compared

@@ -339,6 +339,8 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
                  id="utf16-bom"),
     pytest.param(b'{"rows": [{"system": "a\x80", "task": "t", "metric": "m", "value": 1}]}',
                  [], "scores.json: undecodable bytes", id="undecodable-label"),
+    pytest.param(b'{"rows": [\n{"system": "a\xc3", "task": "t", "metric": "m", "value": 1}]}',
+                 [], "scores.json: undecodable bytes at line 2", id="undecodable-line-2"),
     pytest.param("[" * 100_000 + "]" * 100_000, [], "scores.json: JSON nested too deeply",
                  id="nested-100k-deep"),
 ])

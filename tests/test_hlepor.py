@@ -251,15 +251,9 @@ def test_corpus_empty_is_error():
         hlepor_corpus([])
 
 
-def test_corpus_counts_aggregation_identical():
-    pairs = [(["a", "b"], ["a", "b"])] * 2
-    assert hlepor_corpus(pairs, aggregation="counts") == 100.0
-
-
-@pytest.mark.parametrize("aggregation", ["mean", "counts"])
-def test_corpus_of_empty_pairs_scores_100(aggregation):
-    assert hlepor_corpus([((), ())], aggregation=aggregation) == 100.0
-    assert hlepor_corpus([((), ())] * 3, aggregation=aggregation) == 100.0
+def test_corpus_of_empty_pairs_scores_100():
+    assert hlepor_corpus([((), ())]) == 100.0
+    assert hlepor_corpus([((), ())] * 3) == 100.0
 
 
 # --- presets ----------------------------------------------------------------

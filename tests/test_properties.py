@@ -1,4 +1,5 @@
-"""Metamorphic properties of the public metric functions.
+"""Metamorphic properties of the public metric functions, and the input
+reader and winner matrix checked against their oracles.
 
 Tokens are plain sequences of str: a ``tokenize`` result, a tuple and a list
 holding the same tokens must give the same result everywhere. Scores depend
@@ -6,10 +7,22 @@ only on which tokens are equal, not on what they are; a segment scores the
 same alone as inside a corpus; and an identity pair scores the maximum.
 """
 
+import codecs
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtmetrics
-from mtmetrics.evalharness import METRICS, EvalConfig, evaluate_pairs
+from mtmetrics.errors import InputError
+from mtmetrics.evalharness import (
+    METRICS,
+    EvalConfig,
+    ScoreTable,
+    evaluate_pairs,
+    read_lines,
+    winner_matrix,
+)
+from oracles import UndecodableLine, bf_winner_matrix, ref_read_lines
 from mtmetrics.hlepor import align, hlepor_sentence
 from mtmetrics.lexmetrics import MeteorParams, lcs_length, meteor_exact, rouge_l_f1
 from mtmetrics.textnorm import TokenizerConfig, extract_ngrams, tokenize
@@ -110,6 +123,52 @@ def test_identity_pair_scores_the_maximum(ref, other):
     if not ref or len(ref) >= PRETOKENIZED.max_n:  # every order has an n-gram to match
         segments = _run([(ref, ref), (VOCAB, VOCAB)]).metrics["bleu"].segments
         assert segments[0] == 100.0
+
+
+# Line ends, byte-order marks, whole multi-byte characters, and bytes that
+# never decode: truncated sequences, stray continuation bytes, an encoded
+# surrogate and an overlong form.
+BYTE_PIECES = (
+    codecs.BOM_UTF8, b"\r", b"\n", b"\r\n", b"a", b" ", b"\t",
+    "é".encode(), "€".encode(), "😀".encode(), "\u2028".encode(),
+    b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\x80", b"\xff", b"\xed\xa0\x80", b"\xc0\xaf",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(BYTE_PIECES), max_size=24))
+def test_read_lines_matches_the_per_line_reader(tmp_path_factory, pieces):
+    data = b"".join(pieces)
+    path = tmp_path_factory.getbasetemp() / "read_lines.txt"
+    path.write_bytes(data)
+    try:
+        expected = ref_read_lines(data)
+    except UndecodableLine as exc:
+        with pytest.raises(InputError, match=f"undecodable bytes at line {exc.args[0]} "):
+            read_lines(path)
+    else:
+        assert read_lines(path) == expected
+
+
+# Few labels and values, so that cells go missing and values tie, exactly or
+# only after rounding.
+VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 1.05, 1.15, 2.5, -2.5, 38.175, 1e30)),
+                   st.floats(-100, 100))
+score_rows = st.lists(
+    st.tuples(st.sampled_from("ABC"), st.sampled_from(("t1", "t2", "t3", "t4")),
+              st.sampled_from(("bleu", "chrf", "ter")), VALUES),
+    min_size=1, max_size=30, unique_by=lambda row: row[:3])
+
+
+@settings(max_examples=500, deadline=None)
+@given(score_rows, st.sampled_from((None, 0, 1, 2)))
+def test_winner_matrix_matches_the_brute_force_matrix(rows, decimals):
+    matrix = winner_matrix(ScoreTable(rows), decimals)
+    winners, skipped, agreement, compared = bf_winner_matrix(rows, decimals)
+    assert matrix.winners == winners
+    assert list(matrix.skipped) == skipped
+    assert matrix.agreement == agreement
+    assert matrix.compared_tasks == compared
 
 
 def test_every_exported_name_resolves():

@@ -136,7 +136,12 @@ def bleu_corpus(hyps: Iterable[str], refs: Iterable[str],
     if min(precisions) == 0.0:
         score = 0.0
     else:
-        mean_log = sum(math.log(p) for p in precisions) / config.max_n
+        # Summed left to right: from Python 3.12 on, sum() of floats
+        # compensates for rounding, which changes the score's last digits.
+        log_sum = 0.0
+        for p in precisions:
+            log_sum += math.log(p)
+        mean_log = log_sum / config.max_n
         # Mathematically <= 100; the clamp only absorbs exp/log round-trip.
         score = min(100.0, bp * math.exp(mean_log))
     return BleuReport(

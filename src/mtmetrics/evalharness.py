@@ -13,7 +13,7 @@ import codecs
 import json
 import math
 import numbers
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -31,18 +31,6 @@ METRICS = ("bleu", "hlepor", "meteor", "rouge-l")
 TIE = "TIE"
 
 _SCALES = {"bleu": "0-100", "hlepor": "0-100", "meteor": "0-1", "rouge-l": "0-1"}
-
-# Non-BLEU segment scorers in run order; they look the metric functions up
-# at call time, so perfbench's tracer sees calls through rebound names.
-_SEGMENT_SCORERS = {
-    "hlepor": lambda hyp, ref, config: hlepor_sentence(hyp, ref, config.hlepor_params).score,
-    "meteor": lambda hyp, ref, config: meteor_exact(hyp, ref, config.meteor_params),
-    "rouge-l": lambda hyp, ref, config: rouge_l_f1(hyp, ref).f1,
-}
-
-
-def _fmt_num(x: float) -> str:
-    return format(x, "g")
 
 
 @dataclass(frozen=True)
@@ -62,11 +50,6 @@ class EvalConfig:
 
     def bleu_config(self) -> BleuConfig:
         return BleuConfig(self.max_n, self.smoothing, self.smooth_k, self.tokenizer)
-
-    def segment_bleu_config(self) -> BleuConfig:
-        # Per-segment BLEU forces exponential smoothing; raw per-order
-        # precisions collapse to zero on almost every single sentence.
-        return BleuConfig(self.max_n, "exp", 1.0, self.tokenizer)
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +80,7 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     for metric_id, params in (("hlepor", config.hlepor_params),
                               ("meteor", config.meteor_params)):
         if metric_id in metrics:
-            parts.append(f"{metric_id}:" + ",".join(_fmt_num(v) for v in astuple(params)))
+            parts.append(f"{metric_id}:" + ",".join(format(v, "g") for v in astuple(params)))
     return "|".join(parts)
 
 
@@ -206,41 +189,38 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
 
     hyp_seqs = [tokenize(text, config.tokenizer) for text in hyp_list]
     ref_seqs = [tokenize(text, config.tokenizer) for text in ref_list]
-
-    scorers = [(m, score) for m, score in _SEGMENT_SCORERS.items() if m in metric_ids]
-    columns: dict[str, list[float]] = {metric_id: [] for metric_id, _ in scorers}
-    seg_bleu_config = None
-    if "bleu" in metric_ids and config.segment_bleu:
-        seg_bleu_config = config.segment_bleu_config()
-        columns["bleu"] = []
-
-    for index, (hyp_seq, ref_seq) in enumerate(zip(hyp_seqs, ref_seqs)):
-        for metric_id, score in scorers:
-            columns[metric_id].append(score(hyp_seq, ref_seq, config))
-        if seg_bleu_config is not None:
-            if hyp_seq:
-                value = bleu_corpus([hyp_list[index]], [ref_list[index]], seg_bleu_config).score
-            else:
-                # An empty hypothesis has no n-grams: it scores 0, unless the
-                # reference is empty too, which is a perfect match.
-                value = 0.0 if ref_seq else 100.0
-            columns["bleu"].append(value)
+    pairs = list(zip(hyp_seqs, ref_seqs))
 
     results: dict[str, MetricResult] = {}
     bleu_report = None
     for metric_id in metric_ids:
-        values = columns.get(metric_id)
         if metric_id == "bleu":
             bleu_report = bleu_corpus(hyp_list, ref_list, config.bleu_config())
-            results["bleu"] = MetricResult(
-                bleu_report.score, None if values is None else tuple(values)
-            )
+            segments = None
+            if config.segment_bleu:
+                # Per-segment BLEU forces exponential smoothing; raw per-order
+                # precisions collapse to zero on almost every single sentence.
+                # An empty hypothesis has no n-grams: it scores 0, unless the
+                # reference is empty too, which is a perfect match.
+                seg_config = BleuConfig(config.max_n, "exp", 1.0, config.tokenizer)
+                segments = tuple(
+                    bleu_corpus([hyp], [ref], seg_config).score if hyp_seq
+                    else 0.0 if ref_seq else 100.0
+                    for hyp, ref, (hyp_seq, ref_seq) in zip(hyp_list, ref_list, pairs)
+                )
+            results["bleu"] = MetricResult(bleu_report.score, segments)
+            continue
+        if metric_id == "hlepor":
+            raw = [hlepor_sentence(h, r, config.hlepor_params).score for h, r in pairs]
+        elif metric_id == "meteor":
+            raw = [meteor_exact(h, r, config.meteor_params) for h, r in pairs]
         else:
-            # hLEPOR is reported on 0-100; multiplying by 1.0 is exact.
-            scale = 100.0 if metric_id == "hlepor" else 1.0
-            results[metric_id] = MetricResult(
-                scale * math.fsum(values) / len(values), tuple(scale * v for v in values)
-            )
+            raw = [rouge_l_f1(h, r).f1 for h, r in pairs]
+        # hLEPOR is reported on 0-100; multiplying by 1.0 is exact.
+        scale = 100.0 if metric_id == "hlepor" else 1.0
+        results[metric_id] = MetricResult(
+            scale * math.fsum(raw) / len(raw), tuple(scale * v for v in raw)
+        )
 
     counts = {
         "segments": len(hyp_list),
@@ -286,11 +266,15 @@ def round_half_up(value: float, decimals: int) -> float:
 def improvement_rate(before: float, after: float) -> float:
     """Percentage change from before to after, half-up rounded to 2 decimals.
 
-    Negative results are drops. The base must be positive.
+    Negative results are drops. The base must be positive, and so small a
+    base that the rate is beyond the float range has no rate either.
     """
     if before <= 0:
         raise InputError(f"improvement rate needs a positive base score, got {before}")
-    return round_half_up(100.0 * (after - before) / before, 2)
+    rate = 100.0 * (after - before) / before
+    if not math.isfinite(rate):
+        raise InputError(f"improvement rate from base {before} is beyond the float range")
+    return round_half_up(rate, 2)
 
 
 @dataclass(frozen=True)
@@ -324,17 +308,20 @@ def compare_files(before_file, after_file, ref_file,
     for metric_id in metric_ids:
         before = before_report.metrics[metric_id].corpus
         after = after_report.metrics[metric_id].corpus
-        rate = improvement_rate(before, after) if before > 0 else None
+        try:
+            rate = improvement_rate(before, after)
+        except InputError:  # a zero base, or a rate beyond the float range
+            rate = None
         rows.append(ComparisonRow(metric_id, before, after, rate))
     return ComparisonReport(before_report.signature, tuple(rows))
 
 
-def _checked_rows(rows, keys: set, first: int = 1) -> list[tuple[str, str, str, float]]:
-    """Score-table rows numbered from `first`, checked: three string labels
-    whose triple is not yet in `keys`, and a finite real number, returned as
-    a float. The triples are added to `keys`."""
+def _checked_rows(rows) -> tuple[tuple[str, str, str, float], ...]:
+    """Score-table rows, numbered from 1 and checked: three string labels
+    whose triple is unique, and a finite real number, returned as a float."""
+    seen = set()
     checked = []
-    for number, (system, task, metric, value) in enumerate(rows, start=first):
+    for number, (system, task, metric, value) in enumerate(rows, start=1):
         if not (isinstance(system, str) and isinstance(task, str) and isinstance(metric, str)):
             for name, label in (("system", system), ("task", task), ("metric", metric)):
                 if not isinstance(label, str):
@@ -354,50 +341,28 @@ def _checked_rows(rows, keys: set, first: int = 1) -> list[tuple[str, str, str, 
         if not math.isfinite(value):
             raise InputError(f"score table row {number}: value must be finite, got {value}")
         key = (system, task, metric)
-        if key in keys:
+        if key in seen:
             raise InputError(f"duplicate score table entry {key}")
-        keys.add(key)
+        seen.add(key)
         checked.append((system, task, metric, value))
-    return checked
+    return tuple(checked)
 
 
-@dataclass
 class ScoreTable:
-    """(system, task, metric) -> value rows; triples must be unique.
+    """(system, task, metric, value) rows, checked once on construction:
+    string labels, unique (system, task, metric) triples, finite values."""
 
-    Rows are checked on construction and by ``add``, the way to extend a
-    table: it keeps the set of triples that makes its duplicate check O(1).
-    """
+    __slots__ = ("rows",)
 
-    rows: list[tuple[str, str, str, float]] = field(default_factory=list)
-    scales: dict[str, str] = field(default_factory=dict)
-    _keys: set[tuple[str, str, str]] = field(
-        default_factory=set, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.rows = _checked_rows(self.rows, self._keys)
-
-    def add(self, system: str, task: str, metric: str, value: float) -> None:
-        self.rows += _checked_rows([(system, task, metric, value)], self._keys,
-                                   len(self.rows) + 1)
-
-    def to_dict(self) -> dict:
-        body: dict = {
-            "rows": [
-                {"system": s, "task": t, "metric": m, "value": v}
-                for s, t, m, v in self.rows
-            ]
-        }
-        if self.scales:
-            body["scales"] = dict(sorted(self.scales.items()))
-        return body
+    def __init__(self, rows: Iterable[tuple] = ()) -> None:
+        self.rows = _checked_rows(rows)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTable":
         if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
             raise InputError("score table JSON must be an object with a 'rows' array")
-        scales = data.get("scales", {})
-        if not isinstance(scales, dict):
+        # The optional 'scales' is not used, but it must be an object.
+        if not isinstance(data.get("scales", {}), dict):
             raise InputError("score table 'scales' must be an object")
         rows = []
         for index, row in enumerate(data["rows"], start=1):
@@ -407,7 +372,7 @@ class ScoreTable:
                 raise InputError(
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None
-        return cls(rows, dict(scales))  # the constructor checks each row
+        return cls(rows)  # the constructor checks each row
 
 
 def read_score_table(path) -> ScoreTable:
@@ -421,6 +386,8 @@ def read_score_table(path) -> ScoreTable:
         ) from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal beyond the int-string digit limit
+        raise InputError(f"{path}: {exc}") from None
     return ScoreTable.from_dict(data)
 
 
@@ -518,23 +485,18 @@ def _ngram_header(order: int) -> str:
     return names.get(order, f"{order}-gram")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False)
-
-
 def render_report(data, fmt: str = "table") -> str:
-    """Render a report object as an aligned text table or JSON.
-
-    Accepts EvaluationReport, ComparisonReport, WinnerMatrix and ScoreTable;
-    a BleuReport is rendered as the BLEU block of the EvaluationReport that
-    carries it. Output is byte-deterministic for identical inputs.
+    """Render an EvaluationReport, ComparisonReport or WinnerMatrix as an
+    aligned text table or JSON; any other type raises TypeError. A
+    BleuReport is rendered only as the BLEU block of the EvaluationReport
+    that carries it. Output is byte-deterministic for identical inputs.
     """
     if fmt not in ("table", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if not isinstance(data, (EvaluationReport, ComparisonReport, WinnerMatrix, ScoreTable)):
+    if not isinstance(data, (EvaluationReport, ComparisonReport, WinnerMatrix)):
         raise TypeError(f"cannot render {type(data).__name__}")
     if fmt == "json":
-        return _json_text(data.to_dict())
+        return json.dumps(data.to_dict(), indent=2, ensure_ascii=False)
 
     if isinstance(data, EvaluationReport):
         rows = [
@@ -559,26 +521,19 @@ def render_report(data, fmt: str = "table") -> str:
         text = _table_text(["metric", "before", "after", "rate"], rows)
         return text + f"\nsignature: {data.signature}"
 
-    if isinstance(data, WinnerMatrix):
-        rows = [
-            [task, metric, winner]
-            for (task, metric), winner in sorted(data.winners.items())
-        ]
-        text = _table_text(["task", "metric", "winner"], rows)
-        if data.agreement:
-            agree_rows = [
-                [f"{a} vs {b}", f"{fraction:.4f}", str(data.compared_tasks[(a, b)])]
-                for (a, b), fraction in sorted(data.agreement.items())
-            ]
-            text += "\n\n" + _table_text(["metric pair", "agreement", "tasks"], agree_rows)
-        if data.skipped:
-            text += "\n\nskipped cells: " + ", ".join(
-                f"{task}/{metric}" for task, metric in data.skipped
-            )
-        return text + f"\nsignature: {data.signature}"
-
     rows = [
-        [system, task, metric, f"{value:g}"]
-        for system, task, metric, value in sorted(data.rows)
+        [task, metric, winner]
+        for (task, metric), winner in sorted(data.winners.items())
     ]
-    return _table_text(["system", "task", "metric", "value"], rows)
+    text = _table_text(["task", "metric", "winner"], rows)
+    if data.agreement:
+        agree_rows = [
+            [f"{a} vs {b}", f"{fraction:.4f}", str(data.compared_tasks[(a, b)])]
+            for (a, b), fraction in sorted(data.agreement.items())
+        ]
+        text += "\n\n" + _table_text(["metric pair", "agreement", "tasks"], agree_rows)
+    if data.skipped:
+        text += "\n\nskipped cells: " + ", ".join(
+            f"{task}/{metric}" for task, metric in data.skipped
+        )
+    return text + f"\nsignature: {data.signature}"

@@ -51,13 +51,17 @@ CLINICAL_FIXTURE = {
 }
 
 
+def clinical_rows():
+    return [
+        (system, task, metric, value)
+        for system, tasks in CLINICAL_FIXTURE.items()
+        for task, metrics in tasks.items()
+        for metric, value in metrics.items()
+    ]
+
+
 def clinical_table():
-    table = ScoreTable()
-    for system, tasks in CLINICAL_FIXTURE.items():
-        for task, metrics in tasks.items():
-            for metric, value in metrics.items():
-                table.add(system, task, metric, value)
-    return table
+    return ScoreTable(clinical_rows())
 
 
 def write_lines(path, lines):
@@ -97,6 +101,12 @@ def test_improvement_rate_rejects_nonpositive_base():
         improvement_rate(0.0, 5.0)
     with pytest.raises(InputError):
         improvement_rate(-1.0, 5.0)
+
+
+def test_improvement_rate_beyond_float_range_is_input_error():
+    # 100 * (50 - 1e-306) / 1e-306 overflows to inf, which cannot be rounded.
+    with pytest.raises(InputError, match="beyond the float range"):
+        improvement_rate(1e-306, 50.0)
 
 
 def test_round_half_up_is_not_bankers():
@@ -161,24 +171,18 @@ def test_winner_matrix_agreement_fractions():
 
 
 def test_winner_matrix_single_system_trivial():
-    table = ScoreTable()
-    table.add("only", "t1", "m1", 0.5)
-    table.add("only", "t2", "m1", 0.7)
+    table = ScoreTable([("only", "t1", "m1", 0.5), ("only", "t2", "m1", 0.7)])
     matrix = winner_matrix(table)
     assert matrix.winners == {("t1", "m1"): "only", ("t2", "m1"): "only"}
 
 
 def test_winner_matrix_exact_tie():
-    table = ScoreTable()
-    table.add("s1", "t", "m", 0.5)
-    table.add("s2", "t", "m", 0.5)
+    table = ScoreTable([("s1", "t", "m", 0.5), ("s2", "t", "m", 0.5)])
     assert winner_matrix(table).winners[("t", "m")] == TIE
 
 
 def test_winner_matrix_rounding_policy_can_create_ties():
-    table = ScoreTable()
-    table.add("s1", "t", "m", 0.6271)
-    table.add("s2", "t", "m", 0.6274)
+    table = ScoreTable([("s1", "t", "m", 0.6271), ("s2", "t", "m", 0.6274)])
     assert winner_matrix(table).winners[("t", "m")] == "s2"
     assert winner_matrix(table, decimals=3).winners[("t", "m")] == TIE
 
@@ -201,32 +205,30 @@ def test_winner_matrix_rescaling_invariant():
 
 
 def test_winner_matrix_missing_cell_skipped():
-    table = ScoreTable()
-    table.add("s1", "t1", "m1", 0.1)
-    table.add("s2", "t1", "m1", 0.2)
-    table.add("s1", "t2", "m1", 0.3)  # s2 missing here
+    table = ScoreTable([
+        ("s1", "t1", "m1", 0.1),
+        ("s2", "t1", "m1", 0.2),
+        ("s1", "t2", "m1", 0.3),  # s2 missing here
+    ])
     matrix = winner_matrix(table)
     assert matrix.winners == {("t1", "m1"): "s2"}
     assert matrix.skipped == (("t2", "m1"),)
 
 
 def test_score_table_rejects_duplicates():
-    table = ScoreTable()
-    table.add("s", "t", "m", 1.0)
     with pytest.raises(InputError):
-        table.add("s", "t", "m", 2.0)
-
-
-def test_score_table_rejects_duplicates_across_constructor_and_add():
-    with pytest.raises(InputError, match="duplicate"):
         ScoreTable([("s", "t", "m", 1.0), ("s", "t", "m", 2.0)])
-    table = ScoreTable([("s", "t", "m", 1.0)])
+
+
+def test_score_table_rejects_duplicates_among_other_rows():
     with pytest.raises(InputError, match="duplicate"):
-        table.add("s", "t", "m", 2.0)
+        ScoreTable([("s", "t", "m", 1.0), ("s", "t", "n", 1.0), ("s", "t", "m", 2.0)])
+    table = ScoreTable([("s", "t", "m", 1.0), ("s", "t", "n", 1.0)])
+    assert table.rows == (("s", "t", "m", 1.0), ("s", "t", "n", 1.0))
 
 
 def test_score_table_add_does_not_scan_rows():
-    # Counts label comparisons: a scan of the stored rows compares each new
+    # Counts label comparisons: a scan of the earlier rows compares each new
     # triple with every earlier one (about n*n/2 in all), a hashed lookup
     # with none of them.
     comparisons = 0
@@ -239,9 +241,7 @@ def test_score_table_add_does_not_scan_rows():
             comparisons += 1
             return str.__eq__(self, other)
 
-    table = ScoreTable()
-    for i in range(1000):
-        table.add(Label("s"), Label("t"), Label(f"m{i}"), 0.5)
+    table = ScoreTable([(Label("s"), Label("t"), Label(f"m{i}"), 0.5) for i in range(1000)])
     assert len(table.rows) == 1000
     assert comparisons < 1000
 
@@ -255,9 +255,6 @@ def test_score_table_add_does_not_scan_rows():
     (("s", "t", 5, 0.5), "metric must be a string"),
 ])
 def test_score_table_add_checks_rows_like_from_dict(row, named):
-    table = ScoreTable([("a", "t", "m", 1.0)])
-    with pytest.raises(InputError, match=f"row 2: {named}"):
-        table.add(*row)
     with pytest.raises(InputError, match=f"row 2: {named}"):
         ScoreTable([("a", "t", "m", 1.0), row])
     system, task, metric, value = row
@@ -265,7 +262,6 @@ def test_score_table_add_checks_rows_like_from_dict(row, named):
                      {"system": system, "task": task, "metric": metric, "value": value}]}
     with pytest.raises(InputError, match=f"row 2: {named}"):
         ScoreTable.from_dict(data)
-    assert table.rows == [("a", "t", "m", 1.0)]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -274,8 +270,8 @@ def test_score_table_rejects_non_finite_values(value):
     # decided as a tie instead of rejected.
     with pytest.raises(InputError, match="row 2: value must be finite"):
         ScoreTable([("s1", "t", "m", 1.0), ("s2", "t", "m", value)])
-    with pytest.raises(InputError, match="must be finite"):
-        ScoreTable().add("s", "t", "m", value)
+    with pytest.raises(InputError, match="row 1: value must be finite"):
+        ScoreTable([("s", "t", "m", value)])
 
 
 # --- corpus evaluation ------------------------------------------------------
@@ -419,6 +415,23 @@ def test_compare_zero_base_rate_is_none(tmp_path):
     assert "n/a" in render_report(comparison, "table")
 
 
+def test_compare_rate_beyond_float_range_is_none(tmp_path, capsys):
+    # One token against 706: BLEU's brevity penalty makes the base about
+    # 1e-305, and 100 * (after - before) / before overflows.
+    before = write_lines(tmp_path / "before.txt", ["a"])
+    after = write_lines(tmp_path / "after.txt", [" ".join(["a"] * 706)])
+    ref = write_lines(tmp_path / "ref.txt", [" ".join(["a"] * 706)])
+    argv = ["compare", "--before", before, "--after", after, "--ref", ref,
+            "--metrics", "bleu", "--smoothing", "exp"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert table.splitlines()[1].split()[-1] == "n/a"
+    assert main([*argv, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert 0 < row["before"] < 1e-300
+    assert row["rate_percent"] is None
+
+
 # --- rendering --------------------------------------------------------------
 
 def test_render_bleu_table_header():
@@ -433,16 +446,12 @@ def test_render_bleu_table_header():
     assert lines[-1] == "signature: mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
 
 
-def test_render_empty_score_table_json():
-    payload = json.loads(render_report(ScoreTable(), "json"))
-    assert payload == {"rows": []}
-
-
 @pytest.mark.parametrize("decimals", [None, 2])
 def test_matrix_json_matches_cli(tmp_path, capsys, decimals):
     table = clinical_table()
     path = tmp_path / "scores.json"
-    path.write_text(json.dumps(table.to_dict()), encoding="utf-8")
+    rows = [{"system": s, "task": t, "metric": m, "value": v} for s, t, m, v in clinical_rows()]
+    path.write_text(json.dumps({"rows": rows}), encoding="utf-8")
     argv = ["matrix", "--scores", str(path), "--format", "json"]
     if decimals is not None:
         argv += ["--decimals", str(decimals)]

@@ -100,6 +100,18 @@ def test_segment_alone_equals_its_corpus_row(pairs):
             assert alone[metric_id].segments == (corpus[metric_id].segments[index],)
 
 
+@settings(max_examples=100, deadline=None)
+@given(corpora, st.lists(st.sampled_from(METRICS), min_size=1, max_size=4, unique=True))
+def test_each_metric_scores_the_same_alone_and_with_others(pairs, metric_ids):
+    hyps = [" ".join(h) for h, _ in pairs]
+    refs = [" ".join(r) for _, r in pairs]
+    together = evaluate_pairs(hyps, refs, metric_ids, PRETOKENIZED).metrics
+    assert list(together) == metric_ids
+    for metric_id in metric_ids:
+        alone = evaluate_pairs(hyps, refs, (metric_id,), PRETOKENIZED).metrics
+        assert together[metric_id] == alone[metric_id]
+
+
 @settings(max_examples=300, deadline=None)
 @given(tokens, tokens)
 def test_lcs_at_least_longest_meteor_chunk(hyp, ref):

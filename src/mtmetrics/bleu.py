@@ -44,13 +44,6 @@ class BleuConfig:
         if not (math.isfinite(self.smooth_k) and self.smooth_k > 0):
             raise ValueError(f"smooth_k must be finite and > 0, got {self.smooth_k}")
 
-    @property
-    def smooth_label(self) -> str:
-        """Smoothing as written in signatures: ``add-k`` carries its k."""
-        if self.smoothing == "add-k":
-            return f"add-k({format(self.smooth_k, 'g')})"
-        return self.smoothing
-
 
 @dataclass(frozen=True)
 class BleuReport:

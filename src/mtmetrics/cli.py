@@ -80,9 +80,8 @@ def _config_from_args(args: argparse.Namespace) -> EvalConfig:
 
 
 def _require_file(flag: str, path) -> None:
-    if path is None:
-        return
-    if not os.path.isfile(path):
+    # A pipe passes: it is read once, like every input but compare's --ref.
+    if not os.path.exists(path) or os.path.isdir(path):
         raise InputError(f"{flag}: file not found: {path}")
 
 
@@ -172,7 +171,9 @@ def run_compare(args: argparse.Namespace) -> int:
         raise InputError("--metrics needs at least one metric")
     _require_file("--before", args.before)
     _require_file("--after", args.after)
-    _require_file("--ref", args.ref)
+    if not os.path.isfile(args.ref):  # a pipe could be read only once
+        raise InputError("--ref: compare reads the reference once per system, so it "
+                         f"must be a regular file: {args.ref}")
     comparison = compare_files(args.before, args.after, args.ref, metric_ids, config)
     print(render_report(comparison, args.format))
     return 0

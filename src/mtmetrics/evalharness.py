@@ -30,7 +30,9 @@ METRICS = ("bleu", "hlepor", "meteor", "rouge-l")
 #: Marker used in winner matrices when two systems tie exactly.
 TIE = "TIE"
 
-_SCALES = {"bleu": "0-100", "hlepor": "0-100", "meteor": "0-1", "rouge-l": "0-1"}
+#: Top of each metric's reported range, printed as ``0-{scale}``. hLEPOR,
+#: METEOR and ROUGE-L scores are multiplied by it; BLEU is 0-100 already.
+_SCALES = {"bleu": 100, "hlepor": 100, "meteor": 1, "rouge-l": 1}
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,18 @@ class EvalConfig:
 
 def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     """Settings summary sufficient to re-run an evaluation."""
+    tokenizer = config.tokenizer
     parts = [
         f"mteval:v{SIGNATURE_VERSION}",
-        f"case:{config.tokenizer.case_label}",
-        f"tok:{config.tokenizer.scheme_label}",
+        f"case:{'lc' if tokenizer.lowercase else 'mixed'}",
+        f"tok:{'ws' if tokenizer.scheme == 'whitespace' else tokenizer.scheme}",
         "metrics:" + "+".join(metrics),
     ]
     if "bleu" in metrics:
-        parts.append(f"smooth:{config.bleu_config().smooth_label}")
+        smooth = config.smoothing
+        if smooth == "add-k":  # k changes the score, so it is written too
+            smooth = f"add-k({format(config.smooth_k, 'g')})"
+        parts.append(f"smooth:{smooth}")
         parts.append(f"n:{config.max_n}")
         if config.segment_bleu:
             parts.append("seg-bleu:exp")
@@ -216,8 +222,7 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
             raw = [meteor_exact(h, r, config.meteor_params) for h, r in pairs]
         else:
             raw = [rouge_l_f1(h, r).f1 for h, r in pairs]
-        # hLEPOR is reported on 0-100; multiplying by 1.0 is exact.
-        scale = 100.0 if metric_id == "hlepor" else 1.0
+        scale = _SCALES[metric_id]
         results[metric_id] = MetricResult(
             scale * math.fsum(raw) / len(raw), tuple(scale * v for v in raw)
         )
@@ -318,16 +323,24 @@ def compare_files(before_file, after_file, ref_file,
 
 def _checked_rows(rows) -> tuple[tuple[str, str, str, float], ...]:
     """Score-table rows, numbered from 1 and checked: three string labels
-    whose triple is unique, and a finite real number, returned as a float."""
+    that are valid Unicode and whose triple is unique, and a finite real
+    number, returned as a float."""
     seen = set()
     checked = []
     for number, (system, task, metric, value) in enumerate(rows, start=1):
-        if not (isinstance(system, str) and isinstance(task, str) and isinstance(metric, str)):
+        # An ASCII string is valid Unicode; only other labels are looked at.
+        if not (isinstance(system, str) and isinstance(task, str) and isinstance(metric, str)
+                and system.isascii() and task.isascii() and metric.isascii()):
             for name, label in (("system", system), ("task", task), ("metric", metric)):
                 if not isinstance(label, str):
                     raise InputError(
                         f"score table row {number}: {name} must be a string, got {label!r}"
                     )
+                try:
+                    label.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate, such as JSON "\ud800"
+                    raise InputError(f"score table row {number}: {name} is not valid "
+                                     f"Unicode: {label!r}") from None
         # bool is an int subclass, and float() would also read strings such
         # as " 0.5 ". int and float come first because the ABC check is slow.
         if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
@@ -393,7 +406,11 @@ def read_score_table(path) -> ScoreTable:
 
 @dataclass(frozen=True)
 class WinnerMatrix:
-    """Per-(task, metric) winner plus pairwise metric agreement over tasks."""
+    """Per-(task, metric) winner plus pairwise metric agreement over tasks.
+
+    ``winner_matrix`` fills ``winners``, ``agreement`` and ``compared_tasks``
+    in sorted key order, and reports print them in that order.
+    """
 
     winners: dict[tuple[str, str], str]
     agreement: dict[tuple[str, str], float]
@@ -405,7 +422,7 @@ class WinnerMatrix:
         return {
             "winners": [
                 {"task": task, "metric": metric, "winner": winner}
-                for (task, metric), winner in sorted(self.winners.items())
+                for (task, metric), winner in self.winners.items()
             ],
             "agreement": [
                 {
@@ -413,7 +430,7 @@ class WinnerMatrix:
                     "fraction": fraction,
                     "tasks": self.compared_tasks[(a, b)],
                 }
-                for (a, b), fraction in sorted(self.agreement.items())
+                for (a, b), fraction in self.agreement.items()
             ],
             "skipped": [
                 {"task": task, "metric": metric} for task, metric in self.skipped
@@ -500,7 +517,7 @@ def render_report(data, fmt: str = "table") -> str:
 
     if isinstance(data, EvaluationReport):
         rows = [
-            [metric_id, f"{result.corpus:.4f}", _SCALES[metric_id]]
+            [metric_id, f"{result.corpus:.4f}", f"0-{_SCALES[metric_id]}"]
             for metric_id, result in data.metrics.items()
         ]
         text = _table_text(["metric", "corpus", "scale"], rows)
@@ -511,29 +528,23 @@ def render_report(data, fmt: str = "table") -> str:
             text += "\n\n" + _table_text(
                 headers + ["BP", "Overall"], [row + [f"{bleu.bp:.3f}", f"{bleu.score:.2f}"]]
             )
-        return text + f"\nsignature: {data.signature}"
-
-    if isinstance(data, ComparisonReport):
+    elif isinstance(data, ComparisonReport):
         rows = []
         for row in data.rows:
             rate = "n/a" if row.rate_percent is None else f"{row.rate_percent:+.2f}%"
             rows.append([row.metric, f"{row.before:.4f}", f"{row.after:.4f}", rate])
         text = _table_text(["metric", "before", "after", "rate"], rows)
-        return text + f"\nsignature: {data.signature}"
-
-    rows = [
-        [task, metric, winner]
-        for (task, metric), winner in sorted(data.winners.items())
-    ]
-    text = _table_text(["task", "metric", "winner"], rows)
-    if data.agreement:
-        agree_rows = [
-            [f"{a} vs {b}", f"{fraction:.4f}", str(data.compared_tasks[(a, b)])]
-            for (a, b), fraction in sorted(data.agreement.items())
-        ]
-        text += "\n\n" + _table_text(["metric pair", "agreement", "tasks"], agree_rows)
-    if data.skipped:
-        text += "\n\nskipped cells: " + ", ".join(
-            f"{task}/{metric}" for task, metric in data.skipped
-        )
+    else:
+        rows = [[task, metric, winner] for (task, metric), winner in data.winners.items()]
+        text = _table_text(["task", "metric", "winner"], rows)
+        if data.agreement:
+            agree_rows = [
+                [f"{a} vs {b}", f"{fraction:.4f}", str(data.compared_tasks[(a, b)])]
+                for (a, b), fraction in data.agreement.items()
+            ]
+            text += "\n\n" + _table_text(["metric pair", "agreement", "tasks"], agree_rows)
+        if data.skipped:
+            text += "\n\nskipped cells: " + ", ".join(
+                f"{task}/{metric}" for task, metric in data.skipped
+            )
     return text + f"\nsignature: {data.signature}"

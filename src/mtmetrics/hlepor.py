@@ -49,11 +49,11 @@ class HleporParams:
 
 
 # Manually tuned per-language-pair defaults, as (alpha, beta, n, w_lp,
-# w_npp, w_hpr).
+# w_npp, w_hpr). The widest preset is the default tuple.
 _EN_TO_CS_RU = HleporParams(9.0, 1.0, 2, 2.0, 1.0, 7.0)
 _EN_TO_DE = HleporParams(9.0, 1.0, 2, 3.0, 7.0, 1.0)
 _X_TO_EN = HleporParams(1.0, 9.0, 2, 2.0, 1.0, 7.0)
-_WIDE = HleporParams(9.0, 1.0, 2, 2.0, 1.0, 3.0)
+_WIDE = HleporParams()
 
 PRESETS = {
     "en-cs": _EN_TO_CS_RU,
@@ -80,15 +80,16 @@ def preset(language_pair: str) -> HleporParams:
         ) from None
 
 
-@dataclass(frozen=True)
-class AlignmentMap:
-    """Injective matching of equal tokens, as (hyp_index, ref_index) pairs
-    sorted by hypothesis position."""
+class AlignmentMap(tuple):
+    """Injective matching of equal tokens, as a tuple of (hyp_index,
+    ref_index) pairs sorted by hypothesis position. ``pairs`` returns the
+    tuple itself; it stays while ``perfbench`` reads ``align(...).pairs``."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
             chosen = zip(map(hp.__getitem__, _kernels.ordered_selection(ref_codes, hyp_codes)), rp)
         pairs.extend(chosen)
     pairs.sort()
-    return AlignmentMap(tuple(pairs))
+    return AlignmentMap(pairs)
 
 
 def npd(alignment: AlignmentMap, hyp_len: int, ref_len: int) -> float:
@@ -156,10 +157,10 @@ def npd(alignment: AlignmentMap, hyp_len: int, ref_len: int) -> float:
     |pos_h/hyp_len - pos_r/ref_len| with 1-based positions, divided by the
     hypothesis length. Unmatched tokens contribute nothing.
     """
-    if hyp_len == 0 or not alignment.pairs:
+    if hyp_len == 0 or not alignment:
         return 0.0
     total = math.fsum(
-        abs((i + 1) / hyp_len - (j + 1) / ref_len) for i, j in alignment.pairs
+        abs((i + 1) / hyp_len - (j + 1) / ref_len) for i, j in alignment
     )
     return total / hyp_len
 

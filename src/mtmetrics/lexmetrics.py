@@ -71,9 +71,9 @@ def rouge_l_f1(hyp: Sequence[str], ref: Sequence[str]) -> RougeLScore:
 def _chunk_count(alignment: AlignmentMap) -> int:
     # A chunk extends while matches are adjacent in the hypothesis and their
     # reference positions advance by exactly one.
-    ref_at = dict(alignment.pairs)
+    ref_at = dict(alignment)
     chunks = 0
-    for h, r in alignment.pairs:  # sorted by hypothesis position
+    for h, r in alignment:  # sorted by hypothesis position
         if ref_at.get(h - 1) != r - 1:
             chunks += 1
     return chunks

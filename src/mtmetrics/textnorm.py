@@ -73,14 +73,6 @@ class TokenizerConfig:
                 f"unknown tokenizer scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
 
-    @property
-    def case_label(self) -> str:
-        return "lc" if self.lowercase else "mixed"
-
-    @property
-    def scheme_label(self) -> str:
-        return {"13a": "13a", "whitespace": "ws", "none": "none"}[self.scheme]
-
 
 class TokenSequence(tuple):
     """The tokens of one segment, as a tuple. ``tokens`` returns the tuple

@@ -1,5 +1,6 @@
 import codecs
 import json
+import os
 
 import pytest
 
@@ -145,6 +146,78 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
                  "--metrics", "bleu,wer"])
     assert code == 2
     assert "wer" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def pipe():
+    """Make a pipe holding a text, its write end closed, and give its /dev/fd path."""
+    read_ends = []
+
+    def make(text):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        read_ends.append(read_end)
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for read_end in read_ends:
+        os.close(read_end)
+
+
+PIPE_INPUTS = {
+    "hyp": "The cat sat on the mat.\nA dog ran home.\n",
+    "ref": "The cat is on the mat.\nA dog went home.\n",
+    "tsv": "the cat sat\tthe cat is\na dog\ta dog\n",
+    "scores": json.dumps({"rows": [
+        {"system": "A", "task": "t", "metric": "m", "value": 1.0},
+        {"system": "B", "task": "t", "metric": "m", "value": 0.5},
+    ]}),
+}
+
+
+# "<name>" is a regular file in both runs; "|name" is a pipe in the second.
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("argv", [
+    ["score", "--metric", "hlepor", "--hyp", "|hyp", "--ref", "|ref"],
+    ["score", "--metric", "bleu", "--tsv", "|tsv", "--format", "json"],
+    ["matrix", "--scores", "|scores"],
+    ["compare", "--before", "|hyp", "--after", "|ref", "--ref", "<ref>"],
+])
+def test_inputs_may_be_pipes(tmp_path, capsys, pipe, argv):
+    def resolve(piped):
+        args = []
+        for arg in argv:
+            name = arg.strip("<>|")
+            if arg[0] == "|" and piped:
+                args.append(pipe(PIPE_INPUTS[name]))
+            elif arg[0] in "<|":
+                path = tmp_path / name
+                path.write_text(PIPE_INPUTS[name], encoding="utf-8")
+                args.append(str(path))
+            else:
+                args.append(arg)
+        return args
+
+    assert main(resolve(piped=False)) == 0
+    expected = capsys.readouterr().out
+    assert main(resolve(piped=True)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_compare_ref_must_be_a_regular_file(parallel_files, capsys, pipe):
+    hyp, ref = parallel_files
+    code = main(["compare", "--before", hyp, "--after", hyp, "--ref", pipe("a b\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--ref: compare reads the reference once per system" in captured.err
+    assert captured.out == ""
+    code = main(["compare", "--before", hyp, "--after", hyp, "--ref", os.path.dirname(ref)])
+    assert code == 2
+    assert "--ref" in capsys.readouterr().err
 
 
 def test_segment_bleu_is_a_score_option_only(parallel_files, capsys):
@@ -343,6 +416,13 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
                  [], "scores.json: undecodable bytes at line 2", id="undecodable-line-2"),
     pytest.param("[" * 100_000 + "]" * 100_000, [], "scores.json: JSON nested too deeply",
                  id="nested-100k-deep"),
+    # A lone surrogate is a valid JSON escape but no Unicode text: no report could print it.
+    pytest.param(r'{"rows": [{"system": "A\ud800", "task": "t", "metric": "m", "value": 1}]}',
+                 [], "row 1: system is not valid Unicode", id="lone-surrogate-system"),
+    pytest.param(r'{"rows": [{"system": "A", "task": "t", "metric": "m", "value": 1},'
+                 r' {"system": "B", "task": "t\udfff", "metric": "m", "value": 0.5}]}',
+                 ["--format", "json"], "row 2: task is not valid Unicode",
+                 id="lone-surrogate-task-json"),
     # An integer literal longer than the int-string digit limit (4300 digits on
     # interpreters that have one) fails in json.loads, which names no row; without
     # the limit the row check finds it beyond the float range.

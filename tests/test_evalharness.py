@@ -191,6 +191,9 @@ def test_winner_matrix_row_permutation_invariant():
     table = clinical_table()
     reversed_table = ScoreTable(list(reversed(table.rows)))
     assert winner_matrix(reversed_table).winners == winner_matrix(table).winners
+    for fmt in ("table", "json"):
+        assert (render_report(winner_matrix(reversed_table), fmt)
+                == render_report(winner_matrix(table), fmt))
 
 
 def test_winner_matrix_rescaling_invariant():
@@ -488,6 +491,19 @@ def test_run_signature_hlepor_meteor_blocks():
     assert run_signature(("meteor", "hlepor"), config) == (
         "mteval:v1|case:lc|tok:13a|metrics:meteor+hlepor"
         "|hlepor:1,9,3,2.5,1,7|meteor:0.8,2.5,0.25"
+    )
+
+
+@pytest.mark.parametrize("scheme, tok", [("13a", "13a"), ("whitespace", "ws"), ("none", "none")])
+@pytest.mark.parametrize("lowercase, case", [(True, "lc"), (False, "mixed")])
+@pytest.mark.parametrize("smoothing, smooth_k, smooth", [
+    ("none", 1.0, "none"), ("exp", 1.0, "exp"), ("add-k", 2.0, "add-k(2)"),
+])
+def test_run_signature_labels(scheme, tok, lowercase, case, smoothing, smooth_k, smooth):
+    config = EvalConfig(tokenizer=TokenizerConfig(scheme, lowercase),
+                        smoothing=smoothing, smooth_k=smooth_k)
+    assert run_signature(("bleu", "rouge-l"), config) == (
+        f"mteval:v1|case:{case}|tok:{tok}|metrics:bleu+rouge-l|smooth:{smooth}|n:4"
     )
 
 

@@ -62,7 +62,9 @@ def test_length_penalty_bounds_and_symmetry(a, b):
 # --- alignment --------------------------------------------------------------
 
 def test_align_identity():
-    assert align(["a", "b"], ["a", "b"]).pairs == ((0, 0), (1, 1))
+    alignment = align(["a", "b"], ["a", "b"])
+    assert isinstance(alignment, tuple)
+    assert alignment == alignment.pairs == ((0, 0), (1, 1))
 
 
 def test_align_disjoint_vocabulary():

@@ -181,6 +181,9 @@ def test_winner_matrix_matches_the_brute_force_matrix(rows, decimals):
     assert list(matrix.skipped) == skipped
     assert matrix.agreement == agreement
     assert matrix.compared_tasks == compared
+    # Reports print the dicts in insertion order, which must be sorted.
+    assert list(matrix.winners) == sorted(matrix.winners)
+    assert list(matrix.agreement) == sorted(matrix.agreement)
 
 
 def test_every_exported_name_resolves():

@@ -2,7 +2,8 @@
 
 ``lcs_length_codes`` is bit-parallel (Allison & Dix 1986; Hyyrö 2004): one
 big-int add/or update per code of ``a``. ``ordered_selection`` is a suffix
-DP banded to the slots each element can still take: p * (q - p + 1) cells.
+DP banded to the slots each element can still take: it fills p * (q - p + 1)
+cells but keeps one row and one slack per element, so its memory is linear.
 All arithmetic is integer, so results are exact. Plain-list reference
 versions of both recurrences live in ``tests/oracles.py``.
 """
@@ -48,32 +49,28 @@ def ordered_selection(small: Sequence[int], big: Sequence[int]) -> list[int]:
     each small element, the index of its assigned big element; on equal
     cost the earliest big slot wins.
     """
-    # Element i can take only slot i + k, slack k in [0, q - p]. rows[i][k]
-    # is the cheapest completion of small[i:] into big[i + k:]: the suffix
-    # minimum over k' >= k of rows[i + 1][k'] + |small[i] - big[i + k']|.
-    # From the first slot at or above small[i] on, that sum grows with k,
-    # so only the slots below small[i] carry a running minimum.
+    # Element i can take only slot i + k, slack k in [0, q - p]. row[k] is
+    # the cheapest completion of small[i + 1:] into big[i + 1 + k:], costs[k]
+    # that of small[i:] with element i in slot i + k, and the new row is the
+    # suffix minimum of costs, which from the first slot >= x is costs itself.
+    # Taking slot i + k, once optimal, stays optimal at every larger k, so
+    # element i takes its first cheapest slack unless an earlier element
+    # took a larger one. At or above x costs only grow. Below x, an optimal
+    # assignment that takes slot i + k either leaves i + k + 1 free, and
+    # element i moves up at no cost, or uses it, and swapping it against
+    # one optimal from k + 1 along the alternating path out of slot i + k
+    # gives one optimal from k + 1 that holds slot i + k + 1; sorting it
+    # costs nothing, as |x - y| over ascending sequences is Monge.
     slack = len(big) - len(small)
-    row = [0] * (slack + 1)
-    rows = [row] * (len(small) + 1)  # rows[p] is final: nothing left to place
+    row = [0] * (slack + 1)  # nothing left to place
+    first = [0] * len(small)
     for i in range(len(small) - 1, -1, -1):
         x = small[i]
         end = i + slack + 1
-        mid = bisect_left(big, x, i, end)
-        above = [h + y - x for h, y in zip(row[mid - i:], big[mid:end])]
-        below = [h + x - y for h, y in zip(row, big[i:mid])]
-        below.reverse()
-        row = list(accumulate(below, min, initial=above[0] if above else None))
+        costs = [h + abs(x - y) for h, y in zip(row, big[i:end])]
+        mid = bisect_left(big, x, i, end) - i
+        row = list(accumulate(costs[mid::-1], min))
         row.reverse()
-        row += above[1:]
-        rows[i] = row
-    # Forward pass: take slot i + k whenever that stays optimal, so the
-    # earliest slot wins on ties; at the last slack value it is forced.
-    choice = []
-    k = 0
-    for i, x in enumerate(small):
-        taken, skipped = rows[i + 1], rows[i]
-        while k < slack and taken[k] + abs(x - big[i + k]) > skipped[k + 1]:
-            k += 1
-        choice.append(i + k)
-    return choice
+        row += costs[mid + 1:]
+        first[i] = costs.index(row[0])
+    return [i + k for i, k in enumerate(accumulate(first, max))]

@@ -75,8 +75,9 @@ def _config_from_args(args: argparse.Namespace) -> EvalConfig:
             smooth_k=args.smooth_k,
             segment_bleu=getattr(args, "segment_bleu", False),  # score only
         )
-    except ValueError as exc:  # only the BLEU fields are checked here
-        raise InputError(f"--max-n/--smooth-k: {exc}") from None
+    except ValueError as exc:  # --smoothing has choices, so max_n or smooth_k failed
+        flag = "--max-n" if str(exc).startswith("max_n") else "--smooth-k"
+        raise InputError(f"{flag}: {exc}") from None
 
 
 def _require_file(flag: str, path) -> None:

@@ -148,6 +148,24 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
     assert "wer" in capsys.readouterr().err
 
 
+# HYP and REF stand for the two files of `parallel_files`.
+@pytest.mark.parametrize("argv, named", [
+    (["score", "--metric", "bleu", "--tsv", "HYP", "--hyp", "HYP"], "--tsv cannot be combined"),
+    (["score", "--metric", "bleu"], "score needs --hyp and --ref"),
+    (["compare", "--before", "HYP", "--after", "HYP", "--ref", "REF", "--metrics", ","],
+     "--metrics needs at least one metric"),
+    (["compare", "--before", "HYP", "--after", "HYP", "--ref", "REF", "--metrics", "bleu,bleu"],
+     "duplicate metrics requested"),
+])
+def test_bad_inputs_exit_2(parallel_files, capsys, argv, named):
+    paths = dict(zip(("HYP", "REF"), parallel_files))
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert captured.out == ""
+
+
 @pytest.fixture()
 def pipe():
     """Make a pipe holding a text, its write end closed, and give its /dev/fd path."""
@@ -344,6 +362,7 @@ def test_output_contains_signature_for_every_command(parallel_files, tmp_path, c
     (["--meteor-params", "0.9,inf,0.5"], "--meteor-params"),
     (["--hlepor-params", "5e-324,5e-324,1,5e-324,5e-324,5e-324"], "--hlepor-params"),
     (["--hlepor-params", "1e308,1e308,2,1e308,1e308,1e308"], "--hlepor-params"),
+    (["--hlepor-params", "1,2,3"], "--hlepor-params expects ALPHA,"),
 ])
 def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
     hyp, ref = parallel_files
@@ -352,6 +371,8 @@ def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
         captured = capsys.readouterr()
         assert code == 2
         assert named in captured.err
+        for other in {"--max-n", "--smooth-k", "--hlepor-params", "--meteor-params"} - {flags[-2]}:
+            assert other not in captured.err
         assert captured.out == ""
 
 
@@ -361,7 +382,7 @@ def test_max_n_upper_bound_exits_2(parallel_files, capsys, max_n):
     code = main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref, "--max-n", max_n])
     captured = capsys.readouterr()
     assert code == 2
-    assert "--max-n/--smooth-k: max_n must be between 1 and 20" in captured.err
+    assert "error: --max-n: max_n must be between 1 and 20" in captured.err
     assert captured.out == ""
     assert main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref, "--max-n", "20"]) == 0
 

@@ -322,6 +322,22 @@ def test_line_count_mismatch_names_both_counts(tmp_path):
         evaluate_corpus(hyp, ref)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda tmp_path: read_lines(str(tmp_path)), "Is a directory"),
+    (lambda tmp_path: evaluate_pairs(["a"], []), "segment count mismatch"),
+    (lambda tmp_path: evaluate_pairs(["a"], ["a"], metrics=()), "no metrics requested"),
+])
+def test_library_input_errors(tmp_path, call, named):
+    with pytest.raises(InputError, match=named):
+        call(tmp_path)
+
+
+def test_render_report_rejects_unknown_format():
+    report = evaluate_pairs(["a"], ["a"], ("bleu",))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_report(report, "xml")
+
+
 def test_read_lines_strips_byte_order_mark(tmp_path):
     hyp = tmp_path / "hyp.txt"
     hyp.write_bytes(b"\xef\xbb\xbfa b\n\xef\xbb\xbfa b\n")

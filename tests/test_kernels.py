@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 from mtmetrics._kernels import lcs_length_codes, ordered_selection
@@ -9,7 +10,7 @@ def random_codes(rng, max_len=12, vocab=4):
     return [rng.randrange(vocab) for _ in range(rng.randrange(max_len + 1))]
 
 
-def test_lcs_numpy_matches_enumeration():
+def test_lcs_matches_enumeration():
     rng = random.Random(13)
     for _ in range(200):
         a = random_codes(rng, max_len=8, vocab=3)
@@ -100,6 +101,32 @@ def test_selection_matches_reference_dp_500_of_1000():
     # The size of the long repeated form in the benchmark's long-rep corpus.
     small, big = scaled_positions(random.Random(37), 500, 1000)
     assert ordered_selection(small, big) == dp_ordered_selection(small, big)
+
+
+def test_selection_matches_reference_dp_on_every_small_pair():
+    # Every pair of non-empty subsets of range(8) with |small| <= |big|:
+    # 38,947 pairs, dense with equal-cost ties.
+    subsets = [c for size in range(1, 9) for c in combinations(range(8), size)]
+    pairs = 0
+    for small in subsets:
+        for big in subsets:
+            if len(small) <= len(big):
+                pairs += 1
+                assert ordered_selection(small, big) == dp_ordered_selection(small, big)
+    assert pairs == 38_947
+
+
+def test_selection_memory_is_linear():
+    # A p-row table of 1000 * 1001 cells takes about 23 MiB; one row and
+    # one slack per element take well under 1 MiB.
+    small, big = scaled_positions(random.Random(41), 1000, 2000)
+    tracemalloc.start()
+    try:
+        ordered_selection(small, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_selection_is_minimal():

@@ -1,17 +1,16 @@
 """Integer kernels shared by the metrics, in plain Python ints.
 
 ``lcs_length_codes`` is bit-parallel (Allison & Dix 1986; Hyyrö 2004): one
-big-int add/or update per code of ``a``. ``ordered_selection`` is a suffix
-DP banded to the slots each element can still take: it fills p * (q - p + 1)
-cells but keeps one row and one slack per element, so its memory is linear.
-All arithmetic is integer, so results are exact. Plain-list reference
-versions of both recurrences live in ``tests/oracles.py``.
+big-int add/or update per code of ``a``. ``ordered_selection`` is an exact
+min-cost matching on a line, a greedy with two heaps of revisable offers:
+O((p + q) log q) time and O(p + q) memory, with the earliest slots winning
+ties. All arithmetic is integer, so results are exact. Plain-list reference
+DPs for both live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
+from heapq import heappop, heappush
 from typing import Sequence
 
 
@@ -49,28 +48,59 @@ def ordered_selection(small: Sequence[int], big: Sequence[int]) -> list[int]:
     each small element, the index of its assigned big element; on equal
     cost the earliest big slot wins.
     """
-    # Element i can take only slot i + k, slack k in [0, q - p]. row[k] is
-    # the cheapest completion of small[i + 1:] into big[i + 1 + k:], costs[k]
-    # that of small[i:] with element i in slot i + k, and the new row is the
-    # suffix minimum of costs, which from the first slot >= x is costs itself.
-    # Taking slot i + k, once optimal, stays optimal at every larger k, so
-    # element i takes its first cheapest slack unless an earlier element
-    # took a larger one. At or above x costs only grow. Below x, an optimal
-    # assignment that takes slot i + k either leaves i + k + 1 free, and
-    # element i moves up at no cost, or uses it, and swapping it against
-    # one optimal from k + 1 along the alternating path out of slot i + k
-    # gives one optimal from k + 1 that holds slot i + k + 1; sorting it
-    # costs nothing, as |x - y| over ascending sequences is Monge.
-    slack = len(big) - len(small)
-    row = [0] * (slack + 1)  # nothing left to place
-    first = [0] * len(small)
-    for i in range(len(small) - 1, -1, -1):
-        x = small[i]
-        end = i + slack + 1
-        costs = [h + abs(x - y) for h, y in zip(row, big[i:end])]
-        mid = bisect_left(big, x, i, end) - i
-        row = list(accumulate(costs[mid::-1], min))
-        row.reverse()
-        row += costs[mid + 1:]
-        first[i] = costs.index(row[0])
-    return [i + k for i, k in enumerate(accumulate(first, max))]
+    # Pairing element x with slot j (value y) costs m * |x - y| + j, with
+    # m = p * q + 1. The p used slot indices sum to less than m, so an
+    # optimum of this cost minimizes sum |x - y| first and the slot sum
+    # second. Optimal slot vectors are closed under componentwise min: per
+    # element, the min and max of two ascending slot vectors are again
+    # ascending and cost the same two amounts, so both are optimal. The
+    # componentwise-least optimum thus has the strictly least slot sum: the
+    # optimum is unique, and it is the earliest-slot answer. Any matching
+    # onto its slots, sorted, costs no more (|x - y| is Monge), so the used
+    # slots in ascending order are the answer.
+    #
+    # Walk the values, scaled by m, in ascending order, a slot before an
+    # element of equal value, with two min-heaps of (charge, slot) offers
+    # from the left: the "mice and holes" greedy with regret, exact for
+    # matching on a line. Element x takes the cheapest slot offer v and pays
+    # x + v; a free slot y offers j - y, and a placeholder far left never
+    # runs out. Slot y takes the cheapest element offer t if it pays
+    # y + j + t < 0. Each charge is the exact change in total cost, and each
+    # acceptance leaves an offer that undoes it: element x offers later
+    # slots -2x - v (x moves there and v is undone), and a slot that took t
+    # offers later elements -2y - t (one takes the slot and t is undone).
+    # The general greedy also lets a slot's element move on to a later
+    # slot; here that never pays, as both |x - y| and j grow. Taking an
+    # offer changes the use count of the one slot it carries, +1 for a slot
+    # offer and -1 for an element offer; an accepting slot also counts
+    # itself. Each step pushes one offer: O((p + q) log q) time, O(p + q)
+    # memory.
+    p, q = len(small), len(big)
+    m = p * q + 1
+    lo, hi = min(small[0], big[0]), max(small[-1], big[-1])
+    # One element in the placeholder costs more than any full assignment
+    # to real slots, each pair of which costs at most m * (hi - lo) + q - 1.
+    slot_offers = [(p * (m * (hi - lo) + q) - m * lo, q)]
+    element_offers: list[tuple[int, int]] = []
+    used = [0] * (q + 1)  # used[q] counts the placeholder
+    i = j = 0
+    while i < p or j < q:
+        if j < q and (i == p or big[j] <= small[i]):  # slot j is next
+            y = big[j] * m
+            if element_offers and element_offers[0][0] + y + j < 0:
+                t, s = heappop(element_offers)
+                used[j] += 1
+                used[s] -= 1
+                heappush(slot_offers, (-2 * y - t, s))
+            else:
+                heappush(slot_offers, (j - y, j))
+            j += 1
+        else:  # element i is next
+            x = small[i] * m
+            v, s = slot_offers[0]
+            if s < q:
+                heappop(slot_offers)
+            used[s] += 1
+            heappush(element_offers, (-v - 2 * x, s))
+            i += 1
+    return [j for j in range(q) if used[j]]

@@ -7,7 +7,9 @@ matchings over equal surface forms it minimizes the total normalized
 position difference, with ties broken toward the lexicographically smallest
 pair list. Because edges only connect equal surface forms, the optimum
 decomposes per form, where an order-preserving assignment is optimal and
-only the occurrence-subset choice needs a small DP (see ``_kernels``).
+only the occurrence-subset choice needs a matching on a line: a two-heap
+greedy in O((p + q) log q) time and O(p + q) memory that takes the
+earliest occurrences on equal cost (see ``_kernels``).
 """
 
 from __future__ import annotations
@@ -139,8 +141,9 @@ def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
         if len(hp) == len(rp):
             pairs.extend(zip(hp, rp))
             continue
-        # Costs |i/lh - j/lr| over the common denominator lh*lr keep the DP in
-        # exact integers; the side with fewer occurrences goes into the other.
+        # Costs |i/lh - j/lr| over the common denominator lh*lr keep the
+        # matching exact in integers; the side with fewer occurrences goes
+        # into the other.
         hyp_codes = _kernels.Codes(i * lr for i in hp)
         ref_codes = _kernels.Codes(j * lh for j in rp)
         if len(hp) < len(rp):

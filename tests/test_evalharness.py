@@ -230,7 +230,7 @@ def test_score_table_rejects_duplicates_among_other_rows():
     assert table.rows == (("s", "t", "m", 1.0), ("s", "t", "n", 1.0))
 
 
-def test_score_table_add_does_not_scan_rows():
+def test_score_table_does_not_scan_rows():
     # Counts label comparisons: a scan of the earlier rows compares each new
     # triple with every earlier one (about n*n/2 in all), a hashed lookup
     # with none of them.
@@ -257,7 +257,7 @@ def test_score_table_add_does_not_scan_rows():
     (("s", ["t"], "m", 0.5), "task must be a string"),
     (("s", "t", 5, 0.5), "metric must be a string"),
 ])
-def test_score_table_add_checks_rows_like_from_dict(row, named):
+def test_score_table_checks_rows_like_from_dict(row, named):
     with pytest.raises(InputError, match=f"row 2: {named}"):
         ScoreTable([("a", "t", "m", 1.0), row])
     system, task, metric, value = row

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -85,8 +86,8 @@ def test_selection_matches_reference_dp():
 
 
 def test_selection_matches_reference_dp_at_band_edges():
-    # p = 1 has one DP row, p = q - 1 a band of two slots, p = q a band of
-    # one slot (every element takes the slot of its own index).
+    # p = 1 places one element, p = q - 1 leaves one slot free, and p = q
+    # leaves none (every element takes the slot of its own index).
     rng = random.Random(31)
     for _ in range(100):
         q = rng.randint(2, 30)
@@ -117,8 +118,8 @@ def test_selection_matches_reference_dp_on_every_small_pair():
 
 
 def test_selection_memory_is_linear():
-    # A p-row table of 1000 * 1001 cells takes about 23 MiB; one row and
-    # one slack per element take well under 1 MiB.
+    # A p-row DP table of 1000 * 1001 cells takes about 23 MiB; the two
+    # offer heaps and the use counts hold O(p + q) entries, well under 1 MiB.
     small, big = scaled_positions(random.Random(41), 1000, 2000)
     tracemalloc.start()
     try:
@@ -127,6 +128,40 @@ def test_selection_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_selection_worst_case_is_near_linear():
+    # 2000 of 4000 is four times the benchmark's long repeated form; a
+    # banded DP fills 4 million cells here and takes about a second.
+    small, big = scaled_positions(random.Random(43), 2000, 4000)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ordered_selection(small, big)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.25
+
+
+def test_align_is_unchanged_with_the_reference_selection(monkeypatch):
+    from mtmetrics import _kernels
+    from mtmetrics.hlepor import align
+
+    rng = random.Random(47)
+    forms = [f"w{k}" for k in range(40)]
+    cases = [
+        ([rng.choice(forms) for _ in range(rng.randint(50, 300))],
+         [rng.choice(forms) for _ in range(rng.randint(50, 300))])
+        for _ in range(30)
+    ]
+    # One form repeated 150 times against 300, among other forms.
+    hyp = ["rep"] * 150 + [rng.choice(forms) for _ in range(50)]
+    ref = ["rep"] * 300 + [rng.choice(forms) for _ in range(100)]
+    rng.shuffle(hyp)
+    rng.shuffle(ref)
+    cases.append((hyp, ref))
+    fast = [align(hyp, ref) for hyp, ref in cases]
+    monkeypatch.setattr(_kernels, "ordered_selection", dp_ordered_selection)
+    assert [align(hyp, ref) for hyp, ref in cases] == fast
 
 
 def test_selection_is_minimal():

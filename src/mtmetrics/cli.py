@@ -41,14 +41,12 @@ def _param_metavar(params_class) -> str:
 
 
 def _parse_params(flag: str, params_class, raw: str):
-    """One comma-separated value per dataclass field, each of the type of
-    the field's default (so hLEPOR's ``n`` must be an int)."""
-    params = fields(params_class)
+    """One comma-separated float per dataclass field."""
     parts = raw.split(",")
-    if len(parts) != len(params):
+    if len(parts) != len(fields(params_class)):
         raise InputError(f"{flag} expects {_param_metavar(params_class)}")
     try:
-        return params_class(*(type(f.default)(part) for f, part in zip(params, parts)))
+        return params_class(*map(float, parts))
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from None
 
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="hLEPOR parameter preset")
     metric_common.add_argument("--hlepor-params", default=None,
                                metavar=_param_metavar(HleporParams),
-                               help="override the six hLEPOR parameters")
+                               help="override the five hLEPOR parameters")
     metric_common.add_argument("--meteor-params", default=None,
                                metavar=_param_metavar(MeteorParams),
                                help="override the METEOR parameters")

@@ -24,19 +24,18 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class HleporParams:
-    """The six hLEPOR hyper-parameters.
+    """The five hLEPOR hyper-parameters.
 
     alpha and beta weight recall vs precision inside the harmonic
     precision/recall factor; w_lp, w_npp and w_hpr weight the three outer
-    components. n is the context-window order carried by the tuned presets;
-    under the exact alignment used here it does not alter scores. The five
-    weights lie in [1e-300, 1e300], so that their sums and their products
-    with precision and recall neither overflow nor round to zero.
+    components. The exact alignment needs no n-gram context window, so the
+    context order of the published presets is not a parameter. All five lie
+    in [1e-300, 1e300], so that their sums and their products with precision
+    and recall neither overflow nor round to zero.
     """
 
     alpha: float = 9.0
     beta: float = 1.0
-    n: int = 2
     w_lp: float = 2.0
     w_npp: float = 1.0
     w_hpr: float = 3.0
@@ -46,15 +45,13 @@ class HleporParams:
             value = getattr(self, name)
             if not 1e-300 <= value <= 1e300:
                 raise ValueError(f"{name} must be between 1e-300 and 1e300, got {value}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
 
-# Manually tuned per-language-pair defaults, as (alpha, beta, n, w_lp,
-# w_npp, w_hpr). The widest preset is the default tuple.
-_EN_TO_CS_RU = HleporParams(9.0, 1.0, 2, 2.0, 1.0, 7.0)
-_EN_TO_DE = HleporParams(9.0, 1.0, 2, 3.0, 7.0, 1.0)
-_X_TO_EN = HleporParams(1.0, 9.0, 2, 2.0, 1.0, 7.0)
+# Manually tuned per-language-pair defaults, as (alpha, beta, w_lp, w_npp,
+# w_hpr). The widest preset is the default tuple.
+_EN_TO_CS_RU = HleporParams(9.0, 1.0, 2.0, 1.0, 7.0)
+_EN_TO_DE = HleporParams(9.0, 1.0, 3.0, 7.0, 1.0)
+_X_TO_EN = HleporParams(1.0, 9.0, 2.0, 1.0, 7.0)
 _WIDE = HleporParams()
 
 PRESETS = {
@@ -160,7 +157,7 @@ def npd(alignment: AlignmentMap, hyp_len: int, ref_len: int) -> float:
     |pos_h/hyp_len - pos_r/ref_len| with 1-based positions, divided by the
     hypothesis length. Unmatched tokens contribute nothing.
     """
-    if hyp_len == 0 or not alignment:
+    if not alignment:
         return 0.0
     total = math.fsum(
         abs((i + 1) / hyp_len - (j + 1) / ref_len) for i, j in alignment

@@ -286,16 +286,16 @@ def test_criterion_6_determinism():
 
 def test_criterion_7_presets():
     expected = {
-        ("en-cs", "en-ru"): (9.0, 1.0, 2, 2.0, 1.0, 7.0),
-        ("en-de",): (9.0, 1.0, 2, 3.0, 7.0, 1.0),
-        ("cs-en", "es-en", "ru-en"): (1.0, 9.0, 2, 2.0, 1.0, 7.0),
-        ("de-en", "fr-en", "en-es", "en-fr"): (9.0, 1.0, 2, 2.0, 1.0, 3.0),
+        ("en-cs", "en-ru"): (9.0, 1.0, 2.0, 1.0, 7.0),
+        ("en-de",): (9.0, 1.0, 3.0, 7.0, 1.0),
+        ("cs-en", "es-en", "ru-en"): (1.0, 9.0, 2.0, 1.0, 7.0),
+        ("de-en", "fr-en", "en-es", "en-fr"): (9.0, 1.0, 2.0, 1.0, 3.0),
     }
     covered = set()
     for pairs, tup in expected.items():
         for pair in pairs:
             p = preset(pair)
-            assert (p.alpha, p.beta, p.n, p.w_lp, p.w_npp, p.w_hpr) == tup
+            assert (p.alpha, p.beta, p.w_lp, p.w_npp, p.w_hpr) == tup
             covered.add(pair)
     assert covered == set(PRESETS)
     ok("criterion 7: all four tuned parameter tuples returned exactly")

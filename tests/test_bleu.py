@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtmetrics.bleu import MAX_ORDER, BleuConfig, bleu_corpus
 from mtmetrics.errors import InputError
-from mtmetrics.evalharness import EvalConfig, run_signature
+from mtmetrics.evalharness import EvalConfig, evaluate_pairs, run_signature
 from mtmetrics.textnorm import TokenizerConfig, tokenize
 from oracles import bf_clipped_counts
 
@@ -60,14 +60,14 @@ def test_brevity_penalty_nine_vs_ten_tokens():
 
 def test_signature_default_config():
     assert run_signature(("bleu",), EvalConfig()) == (
-        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
+        "mteval:v2|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
     )
 
 
 def test_signature_whitespace_exp():
     config = EvalConfig(tokenizer=TokenizerConfig("whitespace", False), smoothing="exp")
     assert run_signature(("bleu",), config) == (
-        "mteval:v1|case:mixed|tok:ws|metrics:bleu|smooth:exp|n:4"
+        "mteval:v2|case:mixed|tok:ws|metrics:bleu|smooth:exp|n:4"
     )
 
 
@@ -75,11 +75,11 @@ def test_signature_deterministic():
     config = EvalConfig(smoothing="add-k", smooth_k=2.0)
     assert run_signature(("bleu",), config) == run_signature(("bleu",), config)
     assert run_signature(("bleu",), config) == (
-        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:add-k(2)|n:4"
+        "mteval:v2|case:lc|tok:13a|metrics:bleu|smooth:add-k(2)|n:4"
     )
     # k changes the score, so it must be in the signature.
     assert run_signature(("bleu",), EvalConfig(smoothing="add-k")) == (
-        "mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:add-k(1)|n:4"
+        "mteval:v2|case:lc|tok:13a|metrics:bleu|smooth:add-k(1)|n:4"
     )
 
 
@@ -149,6 +149,22 @@ def test_add_k_smoothing_pads_higher_orders():
     report = bleu_corpus(["a c b"], ["a x b"], ws_config(max_n=2, smoothing="add-k"))
     assert report.precisions[0] == pytest.approx(100.0 * 2 / 3, abs=1e-12)
     assert report.precisions[1] == pytest.approx(100.0 * 1 / 3, abs=1e-12)
+
+
+def test_add_k_one_worked_example():
+    # Orders 2-4 become (c + 1) / (t + 1): 3/4, 2/3 and 1/2 beside the
+    # unigram 3/4; brevity penalty 1, so 100 * (3/4 * 3/4 * 2/3 * 1/2) ** (1/4).
+    report = bleu_corpus(["a b c d"], ["a b c e"], BleuConfig(smoothing="add-k", smooth_k=1.0))
+    assert report.precisions == pytest.approx((75.0, 75.0, 200.0 / 3, 50.0), abs=1e-12)
+    assert report.score == pytest.approx(65.80370064762461, abs=1e-12)
+
+
+def test_exp_smoothing_zero_total_orders_worked_example():
+    # One hypothesis token: orders 2-4 have no n-grams, so exp smoothing
+    # gives them 100/2, 100/4 and 100/8 beside the unigram 100; brevity
+    # penalty exp(1 - 2/1), so 100 * (1/64) ** (1/4) / e.
+    report = evaluate_pairs(["a"], ["a b"], ("bleu",), EvalConfig(segment_bleu=True))
+    assert report.metrics["bleu"].segments == pytest.approx((13.006502375572225,), abs=1e-12)
 
 
 def test_short_hypotheses_zero_total_orders():

@@ -55,7 +55,7 @@ def test_score_identical_hlepor(parallel_files, capsys):
     assert code == 0
     assert "100.0000" in out
     assert "signature:" in out
-    assert "hlepor:9,1,2,2,1,3" in out
+    assert "hlepor:9,1,2,1,3" in out
 
 
 def test_score_line_count_mismatch_exits_2(tmp_path, capsys):
@@ -340,7 +340,7 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "mtmetrics 0.1.0" in out
-    assert "signature format v1" in out
+    assert "signature format v2" in out
 
 
 def test_output_contains_signature_for_every_command(parallel_files, tmp_path, capsys):
@@ -358,11 +358,13 @@ def test_output_contains_signature_for_every_command(parallel_files, tmp_path, c
     (["--smoothing", "add-k", "--smooth-k", "inf"], "--smooth-k"),
     (["--smoothing", "add-k", "--smooth-k", "nan"], "--smooth-k"),
     (["--smoothing", "add-k", "--smooth-k", "-1"], "--smooth-k"),
-    (["--hlepor-params", "inf,1,2,1,1,1"], "--hlepor-params"),
+    (["--hlepor-params", "inf,1,1,1,1"], "--hlepor-params"),
     (["--meteor-params", "0.9,inf,0.5"], "--meteor-params"),
-    (["--hlepor-params", "5e-324,5e-324,1,5e-324,5e-324,5e-324"], "--hlepor-params"),
-    (["--hlepor-params", "1e308,1e308,2,1e308,1e308,1e308"], "--hlepor-params"),
+    (["--hlepor-params", "5e-324,5e-324,5e-324,5e-324,5e-324"], "--hlepor-params"),
+    (["--hlepor-params", "1e308,1e308,1e308,1e308,1e308"], "--hlepor-params"),
     (["--hlepor-params", "1,2,3"], "--hlepor-params expects ALPHA,"),
+    # The six-value layout of signature format v1, with n after beta.
+    (["--hlepor-params", "9,1,2,2,1,3"], "--hlepor-params expects ALPHA,BETA,W_LP,W_NPP,W_HPR"),
 ])
 def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
     hyp, ref = parallel_files

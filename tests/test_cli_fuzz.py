@@ -25,11 +25,11 @@ FLAG_VALUES = {
     "--tokenize": (("13a", "whitespace", "none"), ("moses",)),
     "--lang-pair": (("en-de", "es-en", "fr-en"), ("xx-yy",)),
     "--hlepor-params": (
-        ("9,1,2,2,1,3", "1,9,2,2,1,7", "1e-300,1e300,1,1e-300,1e300,1",
-         "1e300,1e300,2,1e300,1e300,1e300", "1e-300,1e-300,1,1e-300,1e-300,1e-300"),
-        ("0,1,2,2,1,3", "nan,1,2,2,1,3", "inf,1,2,2,1,3", "9,1,0,2,1,3", "9,1,2.5,2,1,3",
-         "1e308,1e308,2,1e308,1e308,1e308", "5e-324,5e-324,1,5e-324,5e-324,5e-324",
-         "9,1,2", "", ",,,,,", "x"),
+        ("9,1,2,1,3", "1,9,2,1,7", "1e-300,1e300,1e-300,1e300,1",
+         "1e300,1e300,1e300,1e300,1e300", "1e-300,1e-300,1e-300,1e-300,1e-300"),
+        ("0,1,2,1,3", "nan,1,2,1,3", "inf,1,2,1,3", "9,1,0,1,3",
+         "1e308,1e308,1e308,1e308,1e308", "5e-324,5e-324,5e-324,5e-324,5e-324",
+         "9,1,2", "9,1,2,2,1,3", "", ",,,,", "x"),
     ),
     "--meteor-params": (
         ("0.9,3,0.5", "0.5,1e-300,0", "1e-300,1e300,0.999", "0.999999,1e308,0.5",

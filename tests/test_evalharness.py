@@ -462,7 +462,7 @@ def test_render_bleu_table_header():
     assert [line for line in lines if line.startswith("signature:")] == [
         f"signature: {report.signature}"
     ]
-    assert lines[-1] == "signature: mteval:v1|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
+    assert lines[-1] == "signature: mteval:v2|case:lc|tok:13a|metrics:bleu|smooth:none|n:4"
 
 
 @pytest.mark.parametrize("decimals", [None, 2])
@@ -481,7 +481,7 @@ def test_matrix_json_matches_cli(tmp_path, capsys, decimals):
     payload = json.loads(rendered)
     assert list(payload)[-1] == "signature"
     label = "none" if decimals is None else str(decimals)
-    assert payload["signature"] == f"matrix:v1|decimals:{label}"
+    assert payload["signature"] == f"matrix:v2|decimals:{label}"
 
 
 def test_render_bleu_json():
@@ -498,15 +498,15 @@ def test_render_bleu_json():
 
 
 def test_run_signature_hlepor_meteor_blocks():
-    config = EvalConfig(hlepor_params=HleporParams(1.0, 9.0, 3, 2.5, 1.0, 7.0),
+    config = EvalConfig(hlepor_params=HleporParams(1.0, 9.0, 2.5, 1.0, 7.0),
                         meteor_params=MeteorParams(0.8, 2.5, 0.25))
     assert run_signature(METRICS, config) == (
-        "mteval:v1|case:lc|tok:13a|metrics:bleu+hlepor+meteor+rouge-l"
-        "|smooth:none|n:4|hlepor:1,9,3,2.5,1,7|meteor:0.8,2.5,0.25"
+        "mteval:v2|case:lc|tok:13a|metrics:bleu+hlepor+meteor+rouge-l"
+        "|smooth:none|n:4|hlepor:1,9,2.5,1,7|meteor:0.8,2.5,0.25"
     )
     assert run_signature(("meteor", "hlepor"), config) == (
-        "mteval:v1|case:lc|tok:13a|metrics:meteor+hlepor"
-        "|hlepor:1,9,3,2.5,1,7|meteor:0.8,2.5,0.25"
+        "mteval:v2|case:lc|tok:13a|metrics:meteor+hlepor"
+        "|hlepor:1,9,2.5,1,7|meteor:0.8,2.5,0.25"
     )
 
 
@@ -519,7 +519,7 @@ def test_run_signature_labels(scheme, tok, lowercase, case, smoothing, smooth_k,
     config = EvalConfig(tokenizer=TokenizerConfig(scheme, lowercase),
                         smoothing=smoothing, smooth_k=smooth_k)
     assert run_signature(("bleu", "rouge-l"), config) == (
-        f"mteval:v1|case:{case}|tok:{tok}|metrics:bleu+rouge-l|smooth:{smooth}|n:4"
+        f"mteval:v2|case:{case}|tok:{tok}|metrics:bleu+rouge-l|smooth:{smooth}|n:4"
     )
 
 

@@ -49,10 +49,10 @@ COMMANDS = [
     *(SCORE + ["--metric", metric] for metric in ("bleu", "hlepor", "meteor", "rouge-l")),
     SCORE + ["--metric", "bleu", "--segment-bleu"],
     SCORE + ["--metric", "bleu", "--smoothing", "add-k", "--smooth-k", "2"],
-    SCORE + ["--metric", "hlepor", "--hlepor-params", "1,9,3,2.5,1,7"],
+    SCORE + ["--metric", "hlepor", "--hlepor-params", "1,9,2.5,1,7"],
     SCORE + ["--metric", "meteor", "--meteor-params", "0.8,2.5,0.25"],
     COMPARE,
-    COMPARE + ["--hlepor-params", "1,9,3,2.5,1,7", "--meteor-params", "0.8,2.5,0.25"],
+    COMPARE + ["--hlepor-params", "1,9,2.5,1,7", "--meteor-params", "0.8,2.5,0.25"],
     ["matrix", "--scores", "scores.json"],
 ]
 

@@ -128,6 +128,11 @@ def test_npd_empty_alignment():
     assert npd(AlignmentMap(()), 0, 0) == 0.0
 
 
+def test_npd_one_token_hypothesis():
+    # |1/1 - 1/2| over a hypothesis length of 1.
+    assert npd(AlignmentMap(((0, 0),)), 1, 2) == 0.5
+
+
 # --- hpr --------------------------------------------------------------------
 
 @given(st.integers(1, 20), st.floats(0.1, 20), st.floats(0.1, 20))
@@ -262,17 +267,17 @@ def test_corpus_of_empty_pairs_scores_100():
 
 def test_preset_en_de():
     p = preset("en-de")
-    assert (p.alpha, p.beta, p.n, p.w_lp, p.w_npp, p.w_hpr) == (9.0, 1.0, 2, 3.0, 7.0, 1.0)
+    assert (p.alpha, p.beta, p.w_lp, p.w_npp, p.w_hpr) == (9.0, 1.0, 3.0, 7.0, 1.0)
 
 
 def test_preset_es_en():
     p = preset("es-en")
-    assert (p.alpha, p.beta, p.n, p.w_lp, p.w_npp, p.w_hpr) == (1.0, 9.0, 2, 2.0, 1.0, 7.0)
+    assert (p.alpha, p.beta, p.w_lp, p.w_npp, p.w_hpr) == (1.0, 9.0, 2.0, 1.0, 7.0)
 
 
 def test_preset_en_es():
     p = preset("en-es")
-    assert (p.alpha, p.beta, p.n, p.w_lp, p.w_npp, p.w_hpr) == (9.0, 1.0, 2, 2.0, 1.0, 3.0)
+    assert (p.alpha, p.beta, p.w_lp, p.w_npp, p.w_hpr) == (9.0, 1.0, 2.0, 1.0, 3.0)
 
 
 def test_preset_unknown_lists_options():
@@ -290,8 +295,6 @@ def test_preset_covers_documented_pairs():
 def test_params_validation():
     with pytest.raises(ValueError):
         HleporParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        HleporParams(n=0)
 
 
 # Weights are bounded to [1e-300, 1e300]: below, alpha * precision rounded to
@@ -305,7 +308,7 @@ def test_params_outside_range_rejected(value):
 
 @pytest.mark.parametrize("value", [1e-300, 1e300])
 def test_params_at_range_edges_score_finite(value):
-    params = HleporParams(value, value, 2, value, value, value)
+    params = HleporParams(value, value, value, value, value)
     for hyp, ref in ((["the", "the"], ["the", "cat"]), (["a"], ["a"]), (["a"], ["b", "a"])):
         score = hlepor_sentence(hyp, ref, params).score
         assert 0.0 <= score <= 1.0

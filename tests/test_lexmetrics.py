@@ -65,6 +65,7 @@ def test_rouge_disjoint():
 def test_rouge_empty_conventions():
     both = rouge_l_f1([], [])
     assert (both.precision, both.recall, both.f1) == (1.0, 1.0, 1.0)
+    assert both.lcs_len == 0
     one = rouge_l_f1([], ["a"])
     assert one.f1 == 0.0
 
@@ -106,6 +107,13 @@ def test_meteor_two_chunks_worked_example():
     assert meteor_exact(["b", "a"], ["a", "b"]) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_meteor_recall_weighted_worked_example():
+    # P = 1, R = 1/2: f_mean = P*R / (0.9*P + 0.1*R) = 0.5 / 0.95; one chunk
+    # of two matches gives the penalty 0.5 * (1/2)**3, so 0.5 / 0.95 * 0.9375.
+    score = meteor_exact(["a", "b"], ["a", "b", "c", "d"])
+    assert score == pytest.approx(0.4934210526315789, abs=1e-15)
+
+
 def test_meteor_strictly_decreasing_in_chunks():
     ref = ["a", "b", "c", "d", "e", "f"]
     one_chunk = meteor_exact(ref, ref)
@@ -124,6 +132,9 @@ def test_meteor_bounds(hyp, ref):
 def test_meteor_params_validation():
     with pytest.raises(ValueError):
         MeteorParams(alpha=1.0)
+    with pytest.raises(ValueError):
+        MeteorParams(alpha=0.0)
+    assert MeteorParams(beta=0.5).beta == 0.5
     with pytest.raises(ValueError):
         MeteorParams(beta=0.0)
     with pytest.raises(ValueError):

@@ -1,21 +1,23 @@
-"""Integer kernels shared by the metrics, in plain Python ints.
+"""Kernels shared by the metrics, in plain Python.
 
 ``lcs_length_codes`` is bit-parallel (Allison & Dix 1986; Hyyrö 2004): one
-big-int add/or update per code of ``a``. ``ordered_selection`` is an exact
-min-cost matching on a line, a greedy with two heaps of revisable offers:
-O((p + q) log q) time and O(p + q) memory, with the earliest slots winning
-ties. All arithmetic is integer, so results are exact. Plain-list reference
-DPs for both live in ``tests/oracles.py``.
+big-int add/or update per symbol of ``a``, where a symbol is any hashable
+value, such as a token. ``ordered_selection`` is an exact min-cost matching
+on a line over integer positions, a greedy with two heaps of revisable
+offers: O((p + q) log q) time and O(p + q) memory, with the earliest slots
+winning ties. All arithmetic is integer, so results are exact. Plain-list
+reference DPs for both live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Hashable, Sequence
 
 
 class Codes(tuple):
-    """A tuple of integer codes; the benchmark's tracer reads its ``size``."""
+    """A tuple of kernel inputs: tokens for the LCS, integer positions for
+    the selection. The benchmark's tracer reads its ``size``."""
 
     __slots__ = ()
     size = property(len)
@@ -26,17 +28,17 @@ def active_backend() -> str:
     return "python"
 
 
-def lcs_length_codes(a: Sequence[int], b: Sequence[int]) -> int:
-    """LCS length of two integer code sequences."""
-    # After each code of `a`, bit j of v is 0 exactly where the LCS table
+def lcs_length_codes(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """LCS length of two sequences of hashable symbols."""
+    # After each symbol of `a`, bit j of v is 0 exactly where the LCS table
     # row steps up at column j of `b`, so the zero bits of v count the LCS.
-    masks: dict[int, int] = {}
-    for j, code in enumerate(b):
-        masks[code] = masks.get(code, 0) | (1 << j)
+    masks: dict[Hashable, int] = {}
+    for j, symbol in enumerate(b):
+        masks[symbol] = masks.get(symbol, 0) | (1 << j)
     full = (1 << len(b)) - 1
     v = full
-    for code in a:
-        u = v & masks.get(code, 0)
+    for symbol in a:
+        u = v & masks.get(symbol, 0)
         v = ((v + u) | (v - u)) & full
     return len(b) - v.bit_count()
 
@@ -74,7 +76,12 @@ def ordered_selection(small: Sequence[int], big: Sequence[int]) -> list[int]:
     # offer changes the use count of the one slot it carries, +1 for a slot
     # offer and -1 for an element offer; an accepting slot also counts
     # itself. Each step pushes one offer: O((p + q) log q) time, O(p + q)
-    # memory.
+    # memory. The greedy stays exact for any m > p * q and either order of
+    # equal values, and the optimum is unique. No charge is 0, so `< 0` and
+    # `<= 0` accept alike: modulo m a charge is j minus the index of the slot
+    # it frees (p * q for the placeholder), two unequal numbers in [0, m).
+    # No later offer carries a slot that accepted, so any nonzero step of its
+    # count marks it. Only used[:q] is read.
     p, q = len(small), len(big)
     m = p * q + 1
     lo, hi = min(small[0], big[0]), max(small[-1], big[-1])

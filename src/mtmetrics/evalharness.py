@@ -374,9 +374,6 @@ class ScoreTable:
     def from_dict(cls, data: dict) -> "ScoreTable":
         if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
             raise InputError("score table JSON must be an object with a 'rows' array")
-        # The optional 'scales' is not used, but it must be an object.
-        if not isinstance(data.get("scales", {}), dict):
-            raise InputError("score table 'scales' must be an object")
         rows = []
         for index, row in enumerate(data["rows"], start=1):
             try:

@@ -219,8 +219,6 @@ def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
 def hlepor_corpus(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
                   params: HleporParams | None = None) -> float:
     """Corpus score on a 0-100 scale: the mean of the sentence scores."""
-    if params is None:
-        params = HleporParams()
     scores = [hlepor_sentence(h, r, params).score for h, r in pairs]
     if not scores:
         raise InputError("empty corpus")

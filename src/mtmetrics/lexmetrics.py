@@ -47,10 +47,7 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token sequences."""
     if not a or not b:
         return 0
-    vocab: dict[str, int] = {}
-    a_codes = _kernels.Codes(vocab.setdefault(tok, len(vocab)) for tok in a)
-    b_codes = _kernels.Codes(vocab.setdefault(tok, len(vocab)) for tok in b)
-    return _kernels.lcs_length_codes(a_codes, b_codes)
+    return _kernels.lcs_length_codes(_kernels.Codes(a), _kernels.Codes(b))
 
 
 def rouge_l_f1(hyp: Sequence[str], ref: Sequence[str]) -> RougeLScore:

@@ -7,18 +7,19 @@ metric function takes any sequence of str; ``extract_ngrams`` returns a
 
 ``13a``
     Language-independent punctuation splitting in the style of the WMT
-    scoring scripts. In order: newlines become spaces; the four HTML
-    entities ``&quot; &amp; &lt; &gt;`` are unescaped; every printable
-    ASCII character that is not a letter, digit, period, comma, or dash is
-    split off; a period or comma preceded by a non-digit is split off on
-    both sides, and so is one followed by a non-digit; a dash is split off
-    when preceded by a digit; finally whitespace runs collapse and the text
-    is split on spaces. The split characters are padded with spaces by one
-    ``str.replace`` each, skipped when the character is absent. The three
-    digit-sensitive rules are one regex pass each, run only when the text
-    holds a period or comma (a dash for the dash rule). Their matches do
-    not overlap, as in mteval-v13a and sacreBLEU, so of two adjacent marks
-    the second can stay attached: ``..0`` gives ``.`` and ``.0``.
+    scoring scripts. In order: the four HTML entities ``&quot; &amp; &lt;
+    &gt;`` are unescaped; every printable ASCII character that is not a
+    letter, digit, period, comma, or dash is split off; a period or comma
+    preceded by a non-digit is split off on both sides, and so is one
+    followed by a non-digit; a dash is split off when preceded by a digit;
+    finally the text is split on whitespace runs. A newline is whitespace
+    like a space in every rule, so it needs no step of its own. Each
+    digit-sensitive rule is one regex pass. Its matches do not overlap, as
+    in mteval-v13a and sacreBLEU, so of two adjacent marks the second can
+    stay attached: ``..0`` gives ``.`` and ``.0``. Unlike those two, which
+    leave the apostrophe out of the split class, ``'`` is split off
+    (``don't`` gives ``don ' t``), so BLEU on text with apostrophes differs
+    from sacreBLEU's ``13a``.
 ``whitespace``
     Split on whitespace runs only.
 ``none``
@@ -86,7 +87,6 @@ class TokenSequence(tuple):
 
 
 def _normalize_13a(text: str) -> str:
-    text = text.replace("\n", " ")
     if "&" in text:
         text = text.replace("&quot;", '"')
         text = text.replace("&amp;", "&")

@@ -180,7 +180,7 @@ def test_corpus_length_mismatch_is_error():
 
 
 def test_empty_corpus_is_error():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="empty corpus"):
         bleu_corpus([], [])
 
 

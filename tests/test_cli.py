@@ -1,6 +1,9 @@
 import codecs
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +67,7 @@ def test_score_line_count_mismatch_exits_2(tmp_path, capsys):
     code = main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref])
     captured = capsys.readouterr()
     assert code == 2
-    assert "2" in captured.err and "3" in captured.err
+    assert f"line count mismatch: {hyp} has 2 lines, {ref} has 3 lines" in captured.err
     assert captured.out == ""
 
 
@@ -116,11 +119,19 @@ def test_score_bad_preset_exits_2(parallel_files, capsys):
 
 
 def test_score_tsv_input(tmp_path, capsys):
+    # METEOR weights recall above precision, so swapped columns score differently.
     tsv = tmp_path / "pairs.tsv"
-    tsv.write_text("the cat\tthe cat\n", encoding="utf-8")
-    code = main(["score", "--metric", "meteor", "--tsv", str(tsv)])
-    assert code == 0
-    assert "meteor" in capsys.readouterr().out
+    tsv.write_text("the cat\tthe cat sat down\na b c\tc a\n", encoding="utf-8")
+    hyp = write_lines(tmp_path / "hyp.txt", ["the cat", "a b c"])
+    ref = write_lines(tmp_path / "ref.txt", ["the cat sat down", "c a"])
+    for fmt in ("table", "json"):
+        code = main(["score", "--metric", "meteor", "--tsv", str(tsv), "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "meteor" in out
+        assert main(["score", "--metric", "meteor", "--hyp", hyp, "--ref", ref,
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_compare_identical_rates_zero(parallel_files, tmp_path, capsys):
@@ -148,7 +159,8 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
     assert "wer" in capsys.readouterr().err
 
 
-# HYP and REF stand for the two files of `parallel_files`.
+# HYP and REF stand for the two files of `parallel_files`, MISSING for a
+# path that does not exist and EMPTY for an empty file.
 @pytest.mark.parametrize("argv, named", [
     (["score", "--metric", "bleu", "--tsv", "HYP", "--hyp", "HYP"], "--tsv cannot be combined"),
     (["score", "--metric", "bleu"], "score needs --hyp and --ref"),
@@ -156,9 +168,21 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
      "--metrics needs at least one metric"),
     (["compare", "--before", "HYP", "--after", "HYP", "--ref", "REF", "--metrics", "bleu,bleu"],
      "duplicate metrics requested"),
+    (["score", "--metric", "bleu", "--tsv", "MISSING"], "--tsv: file not found"),
+    (["score", "--metric", "bleu", "--hyp", "HYP", "--ref", "MISSING"], "--ref: file not found"),
+    (["compare", "--before", "MISSING", "--after", "HYP", "--ref", "REF"],
+     "--before: file not found"),
+    (["matrix", "--scores", "MISSING"], "--scores: file not found"),
+    (["score", "--metric", "bleu", "--hyp", "HYP"], "score needs --hyp and --ref"),
+    (["score", "--metric", "bleu", "--ref", "REF"], "score needs --hyp and --ref"),
+    *((["score", "--metric", metric, "--hyp", "EMPTY", "--ref", "EMPTY"], "empty corpus")
+      for metric in ("bleu", "hlepor", "meteor", "rouge-l")),
 ])
-def test_bad_inputs_exit_2(parallel_files, capsys, argv, named):
+def test_bad_inputs_exit_2(parallel_files, tmp_path, capsys, argv, named):
     paths = dict(zip(("HYP", "REF"), parallel_files))
+    paths["MISSING"] = str(tmp_path / "missing.txt")
+    (tmp_path / "empty.txt").write_bytes(b"")
+    paths["EMPTY"] = str(tmp_path / "empty.txt")
     code = main([paths.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -236,6 +260,33 @@ def test_compare_ref_must_be_a_regular_file(parallel_files, capsys, pipe):
     code = main(["compare", "--before", hyp, "--after", hyp, "--ref", os.path.dirname(ref)])
     assert code == 2
     assert "--ref" in capsys.readouterr().err
+
+
+def test_internal_error_exits_1(parallel_files, monkeypatch, capsys):
+    from mtmetrics import cli
+
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli._COMMANDS, "score", broken)
+    hyp, ref = parallel_files
+    code = main(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "internal error: broken command\n"
+    assert captured.out == ""
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m mtmetrics.cli` exits with the code of main().
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mtmetrics.cli", "matrix", "--scores",
+                           str(tmp_path / "missing.json")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --scores: file not found")
 
 
 def test_segment_bleu_is_a_score_option_only(parallel_files, capsys):
@@ -418,7 +469,7 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
     ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": "abc"}]}', [],
      "row 1"),
     ('{"rows": 5}', [], "'rows' array"),
-    ('{"rows": [], "scales": 5}', [], "'scales'"),
+    ('{"rows": []}', [], "empty score table"),
     ('{"rows": [{"system": "a", "task": "t", "metric": "m", "value": 1},'
      ' {"system": "b", "task": "t", "metric": "m", "value": NaN}]}', [], "row 2"),
     ('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 38.18}]}',
@@ -451,6 +502,10 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
     # the limit the row check finds it beyond the float range.
     pytest.param('{"rows": [{"system": "s", "task": "t", "metric": "m", "value": 1%s}]}'
                  % ("0" * 4400), [], ("scores.json", "row 1"), id="integer-beyond-digit-limit"),
+    pytest.param('{"rows": [{"system": "s", "task": "t", "metric": "m"}]}', [],
+                 "row 1 needs system/task/metric/value", id="row-without-value"),
+    pytest.param('{"rows": [5]}', [], "row 1 needs system/task/metric/value",
+                 id="row-not-an-object"),
 ])
 def test_matrix_bad_score_table_exits_2(tmp_path, capsys, body, extra, named):
     path = tmp_path / "scores.json"

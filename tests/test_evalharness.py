@@ -216,6 +216,7 @@ def test_winner_matrix_missing_cell_skipped():
     matrix = winner_matrix(table)
     assert matrix.winners == {("t1", "m1"): "s2"}
     assert matrix.skipped == (("t2", "m1"),)
+    assert "\n\nskipped cells: t2/m1\n" in render_report(matrix)
 
 
 def test_score_table_rejects_duplicates():

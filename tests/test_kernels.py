@@ -98,6 +98,19 @@ def test_selection_matches_reference_dp_at_band_edges():
     assert ordered_selection([0, 3, 9], [1, 2, 4]) == [0, 1, 2]
 
 
+def test_selection_is_unchanged_by_a_shift_below_zero():
+    # Only differences of values enter the cost, so the placeholder's
+    # charge must not assume that the values are non-negative.
+    rng = random.Random(53)
+    for _ in range(200):
+        q = rng.randint(1, 20)
+        p = rng.randint(1, q)
+        small, big = scaled_positions(rng, p, q)
+        shift = rng.randint(1, 3 * max(small[-1], big[-1]) + 1)
+        shifted = ordered_selection([v - shift for v in small], [v - shift for v in big])
+        assert shifted == ordered_selection(small, big) == dp_ordered_selection(small, big)
+
+
 def test_selection_matches_reference_dp_500_of_1000():
     # The size of the long repeated form in the benchmark's long-rep corpus.
     small, big = scaled_positions(random.Random(37), 500, 1000)

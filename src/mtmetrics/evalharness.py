@@ -321,16 +321,24 @@ def compare_files(before_file, after_file, ref_file,
     return ComparisonReport(before_report.signature, tuple(rows))
 
 
-def _checked_rows(rows) -> tuple[tuple[str, str, str, float], ...]:
-    """Score-table rows, numbered from 1 and checked: three string labels
-    that are valid Unicode and whose triple is unique, and a finite real
-    number, returned as a float."""
-    seen = set()
-    checked = []
-    for number, (system, task, metric, value) in enumerate(rows, start=1):
-        # An ASCII string is valid Unicode; only other labels are looked at.
-        if not (isinstance(system, str) and isinstance(task, str) and isinstance(metric, str)
+def _checked_rows(rows) -> tuple[tuple, dict[str, dict[str, dict[str, float]]]]:
+    """Score-table rows, numbered from 1, checked and indexed in one pass:
+    three string labels that are valid Unicode and whose triple is unique,
+    and a finite real number, returned as a float. Returns the rows (rebuilt
+    only if a row or value needed converting) and their task -> metric ->
+    system -> value index. Rows of ASCII str labels and a finite float pass
+    one test; others take the detailed checks, which name the first bad row."""
+    rows = tuple(rows)
+    index: dict[str, dict[str, dict[str, float]]] = {}
+    rebuild = False
+    isfinite = math.isfinite
+    for number, row in enumerate(rows, start=1):
+        system, task, metric, value = row
+        # An ASCII str is valid Unicode, and a finite float is kept as it is.
+        if not (type(value) is float and isfinite(value) and type(row) is tuple
+                and type(system) is str and type(task) is str and type(metric) is str
                 and system.isascii() and task.isascii() and metric.isascii()):
+            rebuild = rebuild or type(row) is not tuple or type(value) is not float
             for name, label in (("system", system), ("task", task), ("metric", metric)):
                 if not isinstance(label, str):
                     raise InputError(
@@ -341,47 +349,62 @@ def _checked_rows(rows) -> tuple[tuple[str, str, str, float], ...]:
                 except UnicodeEncodeError:  # a lone surrogate, such as JSON "\ud800"
                     raise InputError(f"score table row {number}: {name} is not valid "
                                      f"Unicode: {label!r}") from None
-        # bool is an int subclass, and float() would also read strings such
-        # as " 0.5 ". int and float come first because the ABC check is slow.
-        if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
-            raise InputError(f"score table row {number}: value must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise InputError(
-                f"score table row {number}: value is beyond the float range"
-            ) from None
-        if not math.isfinite(value):
-            raise InputError(f"score table row {number}: value must be finite, got {value}")
-        key = (system, task, metric)
-        if key in seen:
-            raise InputError(f"duplicate score table entry {key}")
-        seen.add(key)
-        checked.append((system, task, metric, value))
-    return tuple(checked)
+            # bool is an int subclass, and float() would also read strings such
+            # as " 0.5 ". int and float come first because the ABC check is slow.
+            if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+                raise InputError(
+                    f"score table row {number}: value must be a number, got {value!r}"
+                )
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise InputError(
+                    f"score table row {number}: value is beyond the float range"
+                ) from None
+            if not isfinite(value):
+                raise InputError(f"score table row {number}: value must be finite, got {value}")
+        # No dict in the index is ever empty, so a miss is the only falsy get.
+        by_metric = index.get(task) or index.setdefault(task, {})
+        cell = by_metric.get(metric) or by_metric.setdefault(metric, {})
+        if system in cell:
+            raise InputError(f"duplicate score table entry {(system, task, metric)}")
+        cell[system] = value
+    if rebuild:
+        rows = tuple((s, t, m, float(v)) for s, t, m, v in rows)
+    return rows, index
 
 
 class ScoreTable:
     """(system, task, metric, value) rows, checked once on construction:
-    string labels, unique (system, task, metric) triples, finite values."""
+    string labels, unique (system, task, metric) triples, finite values.
+    The same pass indexes them for ``winner_matrix``."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "_index")
 
     def __init__(self, rows: Iterable[tuple] = ()) -> None:
-        self.rows = _checked_rows(rows)
+        self._rows, self._index = _checked_rows(rows)
+
+    @property
+    def rows(self) -> tuple:
+        """The checked rows; read-only, as the index was built from them."""
+        return self._rows
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTable":
         if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
             raise InputError("score table JSON must be an object with a 'rows' array")
-        rows = []
-        for index, row in enumerate(data["rows"], start=1):
-            try:
-                rows.append((row["system"], row["task"], row["metric"], row["value"]))
-            except (TypeError, KeyError) as exc:
-                raise InputError(
-                    f"score table row {index} needs system/task/metric/value: {exc}"
-                ) from None
+        try:
+            rows = [(row["system"], row["task"], row["metric"], row["value"])
+                    for row in data["rows"]]
+        except (TypeError, KeyError):  # find and name the row
+            rows = []
+            for index, row in enumerate(data["rows"], start=1):
+                try:
+                    rows.append((row["system"], row["task"], row["metric"], row["value"]))
+                except (TypeError, KeyError) as exc:
+                    raise InputError(
+                        f"score table row {index} needs system/task/metric/value: {exc}"
+                    ) from None
         return cls(rows)  # the constructor checks each row
 
 
@@ -441,40 +464,43 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
 
     A cell is decided only when every system in the table has a value for
     it; incomplete cells are reported as skipped. Exact equality (after the
-    optional half-up rounding to ``decimals``) yields the tie marker.
+    optional half-up rounding to ``decimals``) yields the tie marker. The
+    cells come from the table's index; rounded rows are indexed afresh.
     """
     if not table.rows:
         raise InputError("empty score table")
-    systems = set()
-    values: dict[tuple[str, str], dict[str, float]] = {}
-    for index, (system, task, metric, value) in enumerate(table.rows, start=1):
-        if decimals is not None:
+    index = table._index
+    if decimals is not None:
+        rounded = []
+        for number, (system, task, metric, value) in enumerate(table.rows, start=1):
             try:
-                value = round_half_up(value, decimals)
+                rounded.append((system, task, metric, round_half_up(value, decimals)))
             except ArithmeticError:  # decimal.InvalidOperation: too many digits
                 raise InputError(
-                    f"score table row {index}: cannot round {value!r} to {decimals} decimals"
+                    f"score table row {number}: cannot round {value!r} to {decimals} decimals"
                 ) from None
-        systems.add(system)
-        values.setdefault((task, metric), {})[system] = value
+        index = _checked_rows(rounded)[1]
+    systems = set().union(*(cell for by_metric in index.values() for cell in by_metric.values()))
 
     winners: dict[tuple[str, str], str] = {}
     by_task: dict[str, dict[str, str]] = {}  # task -> metric -> winner
     skipped = []
-    for task, metric in sorted(values):
-        cell_values = values[task, metric]
-        if len(cell_values) != len(systems):
-            skipped.append((task, metric))
-            continue
-        best = max(cell_values.values())
-        leaders = [s for s, v in cell_values.items() if v == best]
-        winner = leaders[0] if len(leaders) == 1 else TIE
-        winners[task, metric] = winner
-        by_task.setdefault(task, {})[metric] = winner
+    for task in sorted(index):
+        by_metric = index[task]
+        decided = by_task[task] = {}
+        for metric in sorted(by_metric):
+            cell_values = by_metric[metric]
+            if len(cell_values) != len(systems):
+                skipped.append((task, metric))
+                continue
+            best = max(cell_values.values())
+            leaders = [s for s, v in cell_values.items() if v == best]
+            winner = leaders[0] if len(leaders) == 1 else TIE
+            winners[task, metric] = decided[metric] = winner
 
     agreement: dict[tuple[str, str], float] = {}
     compared: dict[tuple[str, str], int] = {}
-    for a, b in combinations(sorted({metric for _, metric in values}), 2):
+    for a, b in combinations(sorted(set().union(*index.values())), 2):
         both = [w for w in by_task.values() if a in w and b in w]
         if both:
             agreement[a, b] = sum(w[a] == w[b] for w in both) / len(both)

@@ -278,6 +278,49 @@ def test_score_table_rejects_non_finite_values(value):
         ScoreTable([("s", "t", "m", value)])
 
 
+@pytest.mark.parametrize("rows, named", [
+    ([("s", "t", "m", 1.0), ("s", "t", "m", 2.0), ("s", "t", "n", float("nan"))],
+     r"duplicate score table entry \('s', 't', 'm'\)"),
+    ([("s", "t", "m", 1.0), ("s", "t", "n", float("nan")), ("s", 5, "m", 1.0)],
+     "row 2: value must be finite"),
+    ([("s", "t", "m", 1.0), ("s", "t", "n", 10**400), ("s", "t", "m", 2.0)],
+     "row 2: value is beyond the float range"),
+])
+def test_score_table_names_the_first_of_two_problems(rows, named):
+    with pytest.raises(InputError, match=named):
+        ScoreTable(rows)
+    data = {"rows": [{"system": s, "task": t, "metric": m, "value": v} for s, t, m, v in rows]}
+    with pytest.raises(InputError, match=named):
+        ScoreTable.from_dict(data)
+
+
+@pytest.mark.parametrize("rows", [
+    [["s", "t", "m", 1.0], ("s", "t", "n", 0.5)],  # a list row
+    [("s", "t", "m", 1), ("s", "t", "n", 0.5)],  # an int value
+])
+def test_score_table_rows_are_tuples_of_floats(rows):
+    table = ScoreTable(rows)
+    assert table.rows == (("s", "t", "m", 1.0), ("s", "t", "n", 0.5))
+    assert [(type(row), type(row[3])) for row in table.rows] == [(tuple, float)] * 2
+    with pytest.raises(AttributeError):  # winner_matrix reads the index built from them
+        table.rows = ()
+
+
+@pytest.mark.parametrize("name", ["system", "task", "metric"])
+def test_score_table_rejects_a_lone_surrogate_beside_a_float(name):
+    row = {"system": "s", "task": "t", "metric": "m", "value": 0.5, name: "x\ud800"}
+    with pytest.raises(InputError, match=f"row 2: {name} is not valid Unicode"):
+        ScoreTable([("a", "t", "m", 1.0), tuple(row.values())])
+
+
+def test_winner_matrix_rejects_a_rounding_beyond_the_float_range():
+    # 1.7e308 to a multiple of 1e308 rounds up to 2e308, which no float holds.
+    table = ScoreTable([("s1", "t", "m", 1.0), ("s2", "t", "m", 1.7e308)])
+    with pytest.raises(InputError, match="row 2: value must be finite, got inf"):
+        winner_matrix(table, decimals=-308)
+    assert winner_matrix(table, decimals=-307).winners == {("t", "m"): "s2"}
+
+
 # --- corpus evaluation ------------------------------------------------------
 
 def test_identical_files_perfect_scores(tmp_path):

@@ -1,7 +1,10 @@
+import heapq
 import random
 import time
 import tracemalloc
 from itertools import combinations
+
+import pytest
 
 from mtmetrics._kernels import lcs_length_codes, ordered_selection
 from oracles import bf_best_matching, bf_lcs, dp_lcs, dp_ordered_selection
@@ -153,6 +156,31 @@ def test_selection_worst_case_is_near_linear():
         ordered_selection(small, big)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.25
+
+
+@pytest.mark.parametrize("p, q, seed", [(500, 1000, 40), (1000, 2000, 41), (2000, 4000, 43)])
+def test_selection_heap_operations_are_linear(monkeypatch, p, q, seed):
+    # The same bound as the timing test above, counted instead of timed, so
+    # that a loaded host cannot fail it: each of the p + q steps pushes
+    # exactly one offer and pops at most one.
+    from mtmetrics import _kernels
+
+    counts = {"push": 0, "pop": 0}
+
+    def counting_push(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def counting_pop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(_kernels, "heappush", counting_push)
+    monkeypatch.setattr(_kernels, "heappop", counting_pop)
+    small, big = scaled_positions(random.Random(seed), p, q)
+    assert len(ordered_selection(small, big)) == p
+    assert counts["push"] == p + q
+    assert counts["pop"] <= p + q
 
 
 def test_align_is_unchanged_with_the_reference_selection(monkeypatch):

@@ -162,20 +162,27 @@ def test_read_lines_matches_the_per_line_reader(tmp_path_factory, pieces):
         assert read_lines(path) == expected
 
 
+class Label(str):
+    """A str subclass: equal to, and hashed like, its plain text."""
+
+
 # Few labels and values, so that cells go missing and values tie, exactly or
-# only after rounding.
-VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 1.05, 1.15, 2.5, -2.5, 38.175, 1e30)),
-                   st.floats(-100, 100))
+# only after rounding. JSON-style ints, non-ASCII labels and a str subclass
+# take the score table's detailed checks; the other rows pass its one test.
+VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 1.05, 1.15, 2.5, -2.5, 38.175, 1e30, 0)),
+                   st.floats(-100, 100), st.integers(-3, 3))
 score_rows = st.lists(
-    st.tuples(st.sampled_from("ABC"), st.sampled_from(("t1", "t2", "t3", "t4")),
-              st.sampled_from(("bleu", "chrf", "ter")), VALUES),
+    st.tuples(st.sampled_from(("A", "B", "C", "Ç", Label("A"))),
+              st.sampled_from(("t1", "t2", "t3", "τ4")),
+              st.sampled_from(("bleu", "chrf", "ter", Label("ter"))), VALUES),
     min_size=1, max_size=30, unique_by=lambda row: row[:3])
 
 
-@settings(max_examples=500, deadline=None)
-@given(score_rows, st.sampled_from((None, 0, 1, 2)))
-def test_winner_matrix_matches_the_brute_force_matrix(rows, decimals):
-    matrix = winner_matrix(ScoreTable(rows), decimals)
+def check_against_brute_force(table, rows, decimals):
+    # The rows keep their order and labels, with every value a float.
+    assert table.rows == tuple((s, t, m, float(v)) for s, t, m, v in rows)
+    assert all(type(row) is tuple and type(row[3]) is float for row in table.rows)
+    matrix = winner_matrix(table, decimals)
     winners, skipped, agreement, compared = bf_winner_matrix(rows, decimals)
     assert matrix.winners == winners
     assert list(matrix.skipped) == skipped
@@ -184,6 +191,19 @@ def test_winner_matrix_matches_the_brute_force_matrix(rows, decimals):
     # Reports print the dicts in insertion order, which must be sorted.
     assert list(matrix.winners) == sorted(matrix.winners)
     assert list(matrix.agreement) == sorted(matrix.agreement)
+
+
+@settings(max_examples=500, deadline=None)
+@given(score_rows, st.sampled_from((None, 0, 1, 2)))
+def test_winner_matrix_matches_the_brute_force_matrix(rows, decimals):
+    check_against_brute_force(ScoreTable(rows), rows, decimals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_rows, st.sampled_from((None, 0, 1, 2)))
+def test_winner_matrix_from_dict_matches_the_brute_force_matrix(rows, decimals):
+    data = {"rows": [{"system": s, "task": t, "metric": m, "value": v} for s, t, m, v in rows]}
+    check_against_brute_force(ScoreTable.from_dict(data), rows, decimals)
 
 
 def test_every_exported_name_resolves():

@@ -379,32 +379,23 @@ class ScoreTable:
     string labels, unique (system, task, metric) triples, finite values.
     The same pass indexes them for ``winner_matrix``."""
 
-    __slots__ = ("_rows", "_index")
+    __slots__ = ("rows", "_index")
 
     def __init__(self, rows: Iterable[tuple] = ()) -> None:
-        self._rows, self._index = _checked_rows(rows)
-
-    @property
-    def rows(self) -> tuple:
-        """The checked rows; read-only, as the index was built from them."""
-        return self._rows
+        self.rows, self._index = _checked_rows(rows)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTable":
         if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
             raise InputError("score table JSON must be an object with a 'rows' array")
-        try:
-            rows = [(row["system"], row["task"], row["metric"], row["value"])
-                    for row in data["rows"]]
-        except (TypeError, KeyError):  # find and name the row
-            rows = []
-            for index, row in enumerate(data["rows"], start=1):
-                try:
-                    rows.append((row["system"], row["task"], row["metric"], row["value"]))
-                except (TypeError, KeyError) as exc:
-                    raise InputError(
-                        f"score table row {index} needs system/task/metric/value: {exc}"
-                    ) from None
+        rows = []
+        for index, row in enumerate(data["rows"], start=1):
+            try:
+                rows.append((row["system"], row["task"], row["metric"], row["value"]))
+            except (TypeError, KeyError) as exc:
+                raise InputError(
+                    f"score table row {index} needs system/task/metric/value: {exc}"
+                ) from None
         return cls(rows)  # the constructor checks each row
 
 
@@ -465,21 +456,21 @@ def winner_matrix(table: ScoreTable, decimals: int | None = None) -> WinnerMatri
     A cell is decided only when every system in the table has a value for
     it; incomplete cells are reported as skipped. Exact equality (after the
     optional half-up rounding to ``decimals``) yields the tie marker. The
-    cells come from the table's index; rounded rows are indexed afresh.
+    cells come from the table's index; rounded values go into a new one.
     """
     if not table.rows:
         raise InputError("empty score table")
     index = table._index
     if decimals is not None:
-        rounded = []
+        index = {}
         for number, (system, task, metric, value) in enumerate(table.rows, start=1):
             try:
-                rounded.append((system, task, metric, round_half_up(value, decimals)))
+                rounded = round_half_up(value, decimals)
             except ArithmeticError:  # decimal.InvalidOperation: too many digits
                 raise InputError(
                     f"score table row {number}: cannot round {value!r} to {decimals} decimals"
                 ) from None
-        index = _checked_rows(rounded)[1]
+            index.setdefault(task, {}).setdefault(metric, {})[system] = rounded
     systems = set().union(*(cell for by_metric in index.values() for cell in by_metric.values()))
 
     winners: dict[tuple[str, str], str] = {}

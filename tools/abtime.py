@@ -1,18 +1,19 @@
 """Alternating A/B wall time of two source trees, run by hand:
-``tools/abtime.py [--pairs N] [--seed S] A_SRC B_SRC -- ARGV...``.
+``tools/abtime.py [--pairs N] A_SRC B_SRC -- ARGV...``.
 
 Runs ``python -m mtmetrics.cli ARGV`` with ``PYTHONPATH`` set to each ``src``
 tree in fresh processes, N pairs, alternating which side runs first, after
 one untimed run per side that writes its bytecode caches. Both sides must
 exit alike and print the same stdout bytes. Prints each side's median and
 quartiles, the per-pair B/A ratio's median with a 95% bootstrap interval
-(resampled with a seeded ``random.Random``), and how many pairs B wins. An
+(resampled with ``random.Random(SEED)``), and how many pairs B wins. An
 A/A run (one tree twice) should give an interval that holds 1.0.
 """
 
 import argparse, math, os, random, statistics, subprocess, sys, time
 
 ROUNDS = 10_000  # bootstrap resamples
+SEED = 0  # of the bootstrap, so a run's interval can be recomputed
 
 
 def run_once(src, argv):
@@ -40,9 +41,9 @@ def percentile_interval(samples, level):
     return ordered[low], ordered[high]
 
 
-def bootstrap_interval(values, rounds=ROUNDS, seed=0, level=0.95):
-    """Percentile bootstrap interval of the median of `values`."""
-    return percentile_interval(resample_medians(values, rounds, random.Random(seed)), level)
+def bootstrap_interval(values, rounds=ROUNDS):
+    """95% percentile bootstrap interval of the median of `values`."""
+    return percentile_interval(resample_medians(values, rounds, random.Random(SEED)), 0.95)
 
 
 def summary(times):
@@ -53,7 +54,6 @@ def summary(times):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     parser.add_argument("a_src")
     parser.add_argument("b_src")
     parser.add_argument("argv", nargs=argparse.REMAINDER, help="-- then the CLI arguments")
@@ -75,13 +75,13 @@ def main(argv=None):
                 return 1
             times[name].append(seconds)
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
-    low, high = bootstrap_interval(ratios, seed=args.seed)
+    low, high = bootstrap_interval(ratios)
     wins = sum(b < a for a, b in zip(times["A"], times["B"]))
     print(f"argv: {' '.join(cli_argv)}; {args.pairs} alternating pairs")
     for name in sides:
         print(f"{name} {sides[name]}: {summary(times[name])}")
     print(f"B/A per pair: median {statistics.median(ratios):.3f}, 95% interval "
-          f"[{low:.3f}, {high:.3f}] ({ROUNDS} resamples, seed {args.seed})")
+          f"[{low:.3f}, {high:.3f}] ({ROUNDS} resamples, seed {SEED})")
     print(f"B wins {wins} of {args.pairs} pairs; exit {outputs['A'][0]}, "
           f"{len(outputs['A'][1])} stdout bytes, equal on both sides")
     return 0

@@ -36,11 +36,7 @@ from .hlepor import (
     HleporBreakdown,
     HleporParams,
     align,
-    hlepor_corpus,
     hlepor_sentence,
-    hpr,
-    length_penalty,
-    npd,
     preset,
 )
 from .lexmetrics import (
@@ -86,14 +82,10 @@ __all__ = [
     "evaluate_corpus",
     "evaluate_pairs",
     "extract_ngrams",
-    "hlepor_corpus",
     "hlepor_sentence",
-    "hpr",
     "improvement_rate",
     "lcs_length",
-    "length_penalty",
     "meteor_exact",
-    "npd",
     "preset",
     "read_lines",
     "read_score_table",

@@ -81,14 +81,12 @@ def _smoothed_precisions(correct: Sequence[int], total: Sequence[int],
 
 
 def bleu_corpus(hyps: Iterable[str], refs: Iterable[str],
-                config: BleuConfig | None = None) -> BleuReport:
+                config: BleuConfig = BleuConfig()) -> BleuReport:
     """Score a corpus of raw text segments against line-aligned references.
 
     Tokenization happens internally, per the config, so detokenized system
     output and reference text are handled identically.
     """
-    if config is None:
-        config = BleuConfig()
     hyp_list = list(hyps)
     ref_list = list(refs)
     if len(hyp_list) != len(ref_list):

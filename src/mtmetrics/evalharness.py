@@ -179,10 +179,8 @@ def _validated_metrics(metrics: Iterable[str]) -> tuple[str, ...]:
 
 def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
                    metrics: Iterable[str] = METRICS,
-                   config: EvalConfig | None = None) -> EvaluationReport:
+                   config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Score in-memory segment pairs. See ``evaluate_corpus`` for files."""
-    if config is None:
-        config = EvalConfig()
     metric_ids = _validated_metrics(metrics)
     hyp_list = list(hyps)
     ref_list = list(refs)
@@ -243,7 +241,7 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
 
 def evaluate_corpus(hyp_file, ref_file,
                     metrics: Iterable[str] = METRICS,
-                    config: EvalConfig | None = None) -> EvaluationReport:
+                    config: EvalConfig = EvalConfig()) -> EvaluationReport:
     """Score two line-aligned UTF-8 files against each other."""
     hyps = read_lines(hyp_file)
     refs = read_lines(ref_file)
@@ -304,7 +302,7 @@ class ComparisonReport:
 
 def compare_files(before_file, after_file, ref_file,
                   metrics: Iterable[str] = METRICS,
-                  config: EvalConfig | None = None) -> ComparisonReport:
+                  config: EvalConfig = EvalConfig()) -> ComparisonReport:
     """Score two systems against one reference and rate the change."""
     metric_ids = _validated_metrics(metrics)
     before_report = evaluate_corpus(before_file, ref_file, metric_ids, config)
@@ -333,7 +331,11 @@ def _checked_rows(rows) -> tuple[tuple, dict[str, dict[str, dict[str, float]]]]:
     rebuild = False
     isfinite = math.isfinite
     for number, row in enumerate(rows, start=1):
-        system, task, metric, value = row
+        try:
+            system, task, metric, value = row
+        except (TypeError, ValueError):  # not iterable, or not four items
+            raise InputError(f"score table row {number}: expected (system, task, metric, "
+                             f"value), got {row!r}") from None
         # An ASCII str is valid Unicode, and a finite float is kept as it is.
         if not (type(value) is float and isfinite(value) and type(row) is tuple
                 and type(system) is str and type(task) is str and type(metric) is str

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .errors import InputError
@@ -93,6 +93,23 @@ class AlignmentMap(tuple):
 
 @dataclass(frozen=True)
 class HleporBreakdown:
+    """One sentence's hLEPOR score and the components it combines.
+
+    With hypothesis length lh, reference length lr and m aligned pairs
+    (i, j), 0-based:
+
+    - lp = exp(1 - max(lh, lr) / min(lh, lr)), the length penalty: 1 when
+      the lengths agree, 0 when one side is empty;
+    - npd = sum(|(i + 1)/lh - (j + 1)/lr|) / lh, the normalized position
+      difference; unmatched tokens contribute nothing;
+    - npos_penal = exp(-npd);
+    - precision = m / lh and recall = m / lr;
+    - hpr = (alpha + beta) * precision * recall
+      / (alpha * precision + beta * recall), their weighted harmonic mean;
+    - score = (w_lp + w_npp + w_hpr)
+      / (w_lp / lp + w_npp / npos_penal + w_hpr / hpr).
+    """
+
     lp: float
     npd: float
     npos_penal: float
@@ -100,19 +117,6 @@ class HleporBreakdown:
     recall: float
     hpr: float
     score: float
-
-
-def length_penalty(hyp_len: int, ref_len: int) -> float:
-    """Exponential penalty for a length mismatch; 1 when lengths agree.
-
-    One empty side gives the limit value 0; comparing two empty segments is
-    an error.
-    """
-    if hyp_len == 0 and ref_len == 0:
-        raise ValueError("cannot compare two empty segments")
-    if hyp_len == 0 or ref_len == 0:
-        return 0.0
-    return math.exp(1.0 - max(hyp_len, ref_len) / min(hyp_len, ref_len))
 
 
 def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
@@ -152,39 +156,16 @@ def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
     return AlignmentMap(pairs)
 
 
-def npd(alignment: AlignmentMap, hyp_len: int, ref_len: int) -> float:
-    """Normalized position difference: sum over matched pairs of
-    |pos_h/hyp_len - pos_r/ref_len| with 1-based positions, divided by the
-    hypothesis length. Unmatched tokens contribute nothing.
-    """
-    if not alignment:
-        return 0.0
-    total = math.fsum(
-        abs((i + 1) / hyp_len - (j + 1) / ref_len) for i, j in alignment
-    )
-    return total / hyp_len
-
-
-def hpr(aligned_num: int, hyp_len: int, ref_len: int,
-        alpha: float, beta: float) -> float:
-    """Weighted harmonic mean of unigram precision and recall."""
-    if aligned_num == 0:
-        return 0.0
-    precision = aligned_num / hyp_len
-    recall = aligned_num / ref_len
-    return ((alpha + beta) * precision * recall) / (alpha * precision + beta * recall)
-
-
 def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
-                    params: HleporParams | None = None) -> HleporBreakdown:
+                    params: HleporParams = HleporParams()) -> HleporBreakdown:
     """Sentence score with the full component breakdown.
 
-    The score is the weighted harmonic mean of the three components; if any
-    component is zero the score is zero rather than an infinity. Two empty
-    segments are a perfect match: every component and the score are 1.
+    Two empty segments are a perfect match: every component and the score
+    are 1. No aligned pair, which includes one empty side, scores 0. Else
+    the score is the weighted harmonic mean of lp, npos_penal and hpr, or 0
+    if lp or hpr is 0 (exp underflows for very unequal lengths) rather than
+    an infinity. The corpus score is ``evaluate_pairs``'s.
     """
-    if params is None:
-        params = HleporParams()
     lh, lr = len(hyp), len(ref)
     # Aligned before the empty check, so that every sentence runs exactly one
     # alignment, as perfbench's traced call counts expect.
@@ -192,34 +173,23 @@ def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],
     if lh == 0 and lr == 0:
         return HleporBreakdown(lp=1.0, npd=0.0, npos_penal=1.0, precision=1.0,
                                recall=1.0, hpr=1.0, score=1.0)
-    lp = length_penalty(lh, lr)
-    npd_value = npd(alignment, lh, lr)
-    npos_penal = math.exp(-npd_value)
+    lp = math.exp(1.0 - max(lh, lr) / min(lh, lr)) if lh and lr else 0.0
     matched = len(alignment)
-    precision = matched / lh if lh else 0.0
-    recall = matched / lr if lr else 0.0
-    hpr_value = hpr(matched, lh, lr, params.alpha, params.beta)
-    if lp == 0.0 or hpr_value == 0.0:
+    if not matched:
+        return HleporBreakdown(lp=lp, npd=0.0, npos_penal=1.0, precision=0.0,
+                               recall=0.0, hpr=0.0, score=0.0)
+    npd = math.fsum(abs((i + 1) / lh - (j + 1) / lr) for i, j in alignment) / lh
+    npos_penal = math.exp(-npd)
+    precision = matched / lh
+    recall = matched / lr
+    hpr = ((params.alpha + params.beta) * precision * recall) / (
+        params.alpha * precision + params.beta * recall
+    )
+    if lp == 0.0 or hpr == 0.0:
         score = 0.0
     else:
         score = (params.w_lp + params.w_npp + params.w_hpr) / (
-            params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr_value
+            params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr
         )
-    return HleporBreakdown(
-        lp=lp,
-        npd=npd_value,
-        npos_penal=npos_penal,
-        precision=precision,
-        recall=recall,
-        hpr=hpr_value,
-        score=score,
-    )
-
-
-def hlepor_corpus(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-                  params: HleporParams | None = None) -> float:
-    """Corpus score on a 0-100 scale: the mean of the sentence scores."""
-    scores = [hlepor_sentence(h, r, params).score for h, r in pairs]
-    if not scores:
-        raise InputError("empty corpus")
-    return 100.0 * math.fsum(scores) / len(scores)
+    return HleporBreakdown(lp=lp, npd=npd, npos_penal=npos_penal, precision=precision,
+                           recall=recall, hpr=hpr, score=score)

@@ -36,11 +36,11 @@ class MeteorParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -77,11 +77,9 @@ def _chunk_count(alignment: AlignmentMap) -> int:
 
 
 def meteor_exact(hyp: Sequence[str], ref: Sequence[str],
-                 params: MeteorParams | None = None) -> float:
+                 params: MeteorParams = MeteorParams()) -> float:
     """Exact-surface-match METEOR score in [0, 1]. Zero matches score 0,
     except that two empty segments are a perfect match and score 1."""
-    if params is None:
-        params = MeteorParams()
     alignment = align(hyp, ref)
     matched = len(alignment)
     if matched == 0:

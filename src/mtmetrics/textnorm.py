@@ -106,10 +106,8 @@ def _normalize_13a(text: str) -> str:
     return text
 
 
-def tokenize(text: str, config: TokenizerConfig | None = None) -> TokenSequence:
+def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> TokenSequence:
     """Tokenize one segment. Empty text yields an empty sequence."""
-    if config is None:
-        config = TokenizerConfig()
     if config.scheme == "13a":
         tokens = _normalize_13a(text).split()
     elif config.scheme == "whitespace":

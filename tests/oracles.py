@@ -113,6 +113,42 @@ def scaled_matching_cost(pairs, hyp_len, ref_len):
     return sum(abs(i * ref_len - j * hyp_len) for i, j in pairs)
 
 
+def hlepor_components(pairs, lh, lr, params):
+    """hLEPOR's (lp, npd, npos_penal, precision, recall, hpr, score) for an
+    alignment `pairs` of 0-based (hyp, ref) positions, a hypothesis of `lh`
+    tokens and a reference of `lr`, from Han et al. (2013)'s formulas:
+    LP = exp(1 - r/c) if c < r, 1 if c == r, exp(1 - c/r) if c > r;
+    NPD = (1/lh) sum |PD|, each PD taken over 1-based positions, exactly;
+    NPosPenal = exp(-NPD); HPR = (alpha + beta) / (alpha/R + beta/P); and
+    hLEPOR = (w_lp + w_npp + w_hpr) / (w_lp/LP + w_npp/NPosPenal + w_hpr/HPR).
+    Two empty segments are a perfect match; a factor of 0 makes hLEPOR 0."""
+    if lh == 0 and lr == 0:
+        return (1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    if lh == 0 or lr == 0:
+        lp = 0.0
+    elif lh < lr:
+        lp = math.exp(1 - lr / lh)
+    elif lh > lr:
+        lp = math.exp(1 - lh / lr)
+    else:
+        lp = 1.0
+    npd = 0.0
+    if pairs:
+        npd = float(sum(abs(Fraction(i + 1, lh) - Fraction(j + 1, lr)) for i, j in pairs) / lh)
+    npos_penal = math.exp(-npd)
+    m = len(pairs)
+    precision = m / lh if lh else 0.0
+    recall = m / lr if lr else 0.0
+    hpr = 0.0
+    if m:
+        hpr = (params.alpha + params.beta) / (params.alpha / recall + params.beta / precision)
+    score = 0.0
+    if lp and hpr:
+        score = (params.w_lp + params.w_npp + params.w_hpr) / (
+            params.w_lp / lp + params.w_npp / npos_penal + params.w_hpr / hpr)
+    return (lp, npd, npos_penal, precision, recall, hpr, score)
+
+
 def dp_lcs(a, b):
     """LCS length by the textbook two-row dynamic program.
 

@@ -25,7 +25,6 @@ from mtmetrics.hlepor import (
     PRESETS,
     align,
     hlepor_sentence,
-    length_penalty,
     preset,
 )
 from mtmetrics.lexmetrics import MeteorParams, lcs_length, meteor_exact, rouge_l_f1
@@ -206,7 +205,7 @@ def test_criterion_4_identities_and_bounds():
         if hyp and ref:
             assert b.lp > 0.0
             assert (b.lp == 1.0) == (len(hyp) == len(ref))
-            assert b.lp == length_penalty(len(ref), len(hyp))  # symmetry
+            assert b.lp == hlepor_sentence(ref, hyp).lp  # symmetry
         assert 0.0 <= b.npd < 1.0
         assert e_inv < b.npos_penal <= 1.0
         assert abs(b.npos_penal - math.exp(-b.npd)) <= 1e-12

@@ -416,6 +416,7 @@ def test_output_contains_signature_for_every_command(parallel_files, tmp_path, c
     (["--hlepor-params", "1,2,3"], "--hlepor-params expects ALPHA,"),
     # The six-value layout of signature format v1, with n after beta.
     (["--hlepor-params", "9,1,2,2,1,3"], "--hlepor-params expects ALPHA,BETA,W_LP,W_NPP,W_HPR"),
+    (["--meteor-params", "0.5,1,nan"], "--meteor-params: gamma must be in [0, 1), got nan"),
 ])
 def test_bad_metric_settings_exit_2(parallel_files, capsys, flags, named):
     hyp, ref = parallel_files

@@ -25,7 +25,7 @@ from mtmetrics.evalharness import (
 )
 from mtmetrics.bleu import bleu_corpus
 from mtmetrics.cli import main
-from mtmetrics.hlepor import HleporParams, hlepor_corpus
+from mtmetrics.hlepor import HleporParams, hlepor_sentence
 from mtmetrics.lexmetrics import MeteorParams, meteor_exact, rouge_l_f1
 from mtmetrics.textnorm import TokenizerConfig, tokenize
 
@@ -268,6 +268,12 @@ def test_score_table_checks_rows_like_from_dict(row, named):
         ScoreTable.from_dict(data)
 
 
+@pytest.mark.parametrize("row", [("s", "t", "m"), ("s", "t", "m", 0.5, 1.0), None])
+def test_score_table_names_a_row_of_the_wrong_shape(row):
+    with pytest.raises(InputError, match=r"row 2: expected \(system, task, metric, value\)"):
+        ScoreTable([("a", "t", "m", 1.0), row])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_score_table_rejects_non_finite_values(value):
     # NaN compared with anything is never the maximum, so it used to be
@@ -345,8 +351,9 @@ def test_toy_corpus_recomposition(tmp_path):
     ref_seqs = [tokenize(t, config.tokenizer) for t in ref_lines]
     pairs = list(zip(hyp_seqs, ref_seqs))
 
+    expected_hlepor = [hlepor_sentence(h, r, config.hlepor_params).score for h, r in pairs]
     assert report.metrics["hlepor"].corpus == pytest.approx(
-        hlepor_corpus(pairs, config.hlepor_params), abs=1e-12
+        100.0 * sum(expected_hlepor) / len(pairs), abs=1e-12
     )
     assert report.metrics["bleu"].corpus == bleu_corpus(
         hyp_lines, ref_lines, config.bleu_config()

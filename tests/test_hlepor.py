@@ -1,23 +1,20 @@
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtmetrics.errors import InputError
+from mtmetrics.evalharness import evaluate_pairs
 from mtmetrics.hlepor import (
     PRESETS,
-    AlignmentMap,
     HleporBreakdown,
     HleporParams,
     align,
-    hlepor_corpus,
     hlepor_sentence,
-    hpr,
-    length_penalty,
-    npd,
     preset,
 )
-from oracles import bf_best_matching, scaled_matching_cost
+from oracles import bf_best_matching, hlepor_components, scaled_matching_cost
 
 short_tokens = st.lists(st.sampled_from("abcde"), max_size=8)
 word_lists = st.lists(st.sampled_from(["the", "cat", "sat", "on", "mat", "a"]),
@@ -26,37 +23,48 @@ word_lists = st.lists(st.sampled_from(["the", "cat", "sat", "on", "mat", "a"]),
 
 # --- length penalty ---------------------------------------------------------
 
+def penalty(hyp_len, ref_len, shared=True):
+    """The length penalty of a hyp_len-token hypothesis against a
+    ref_len-token reference, with a shared token or with none."""
+    return hlepor_sentence(["a"] * hyp_len, ["a" if shared else "b"] * ref_len).lp
+
+
 def test_length_penalty_equal_lengths():
-    assert length_penalty(10, 10) == 1.0
+    assert penalty(10, 10) == 1.0
+    assert penalty(10, 10, shared=False) == 1.0
 
 
 def test_length_penalty_short_hypothesis():
-    assert length_penalty(5, 10) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert penalty(5, 10) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_length_penalty_long_hypothesis_symmetric():
-    assert length_penalty(10, 5) == length_penalty(5, 10)
+    assert penalty(10, 5) == penalty(5, 10)
 
 
 def test_length_penalty_empty_side_is_zero():
-    assert length_penalty(0, 3) == 0.0
-    assert length_penalty(3, 0) == 0.0
+    assert penalty(0, 3) == 0.0
+    assert penalty(3, 0) == 0.0
 
 
-def test_length_penalty_both_empty_is_error():
-    with pytest.raises(ValueError):
-        length_penalty(0, 0)
+@given(st.integers(0, 50), st.integers(0, 50), st.booleans())
+def test_length_penalty_bounds_and_symmetry(a, b, shared):
+    # Two empty sides are a perfect match, so their penalty is 1 as well.
+    value = penalty(a, b, shared)
+    assert value == penalty(b, a, shared) == penalty(a, b, not shared)
+    if a > 0 and b > 0 or a == b:
+        assert 0.0 < value <= 1.0
+        assert (value == 1.0) == (a == b)
+    else:
+        assert value == 0.0
 
 
-@given(st.integers(0, 50), st.integers(0, 50))
-def test_length_penalty_bounds_and_symmetry(a, b):
-    if a == 0 and b == 0:
-        return
-    lp = length_penalty(a, b)
-    assert lp == length_penalty(b, a)
-    if a > 0 and b > 0:
-        assert 0.0 < lp <= 1.0
-        assert (lp == 1.0) == (a == b)
+def test_length_penalty_underflow_scores_zero():
+    # exp(1 - 800) underflows to 0: the score is 0, not a division by zero.
+    breakdown = hlepor_sentence(["a"], ["a"] * 800)
+    assert breakdown.lp == 0.0
+    assert breakdown.hpr > 0.0
+    assert breakdown.score == 0.0
 
 
 # --- alignment --------------------------------------------------------------
@@ -111,26 +119,26 @@ def test_align_deterministic_tie_break():
 # --- npd --------------------------------------------------------------------
 
 def test_npd_identity_is_zero():
-    alignment = align(["a", "b", "c"], ["a", "b", "c"])
-    assert npd(alignment, 3, 3) == 0.0
-    assert math.exp(-npd(alignment, 3, 3)) == 1.0
+    breakdown = hlepor_sentence(["a", "b", "c"], ["a", "b", "c"])
+    assert breakdown.npd == 0.0
+    assert breakdown.npos_penal == 1.0
 
 
 def test_npd_swapped_pair():
-    alignment = align(["a", "b"], ["b", "a"])
-    value = npd(alignment, 2, 2)
-    assert value == pytest.approx(0.5, abs=1e-15)
-    assert math.exp(-value) == pytest.approx(0.6065306597126334, abs=1e-12)
+    breakdown = hlepor_sentence(["a", "b"], ["b", "a"])
+    assert breakdown.npd == pytest.approx(0.5, abs=1e-15)
+    assert breakdown.npos_penal == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
 def test_npd_empty_alignment():
-    assert npd(AlignmentMap(()), 4, 4) == 0.0
-    assert npd(AlignmentMap(()), 0, 0) == 0.0
+    breakdown = hlepor_sentence(["a", "b", "c", "d"], ["e", "f", "g", "h"])
+    assert (breakdown.npd, breakdown.npos_penal) == (0.0, 1.0)
+    assert hlepor_sentence([], []).npd == 0.0
 
 
 def test_npd_one_token_hypothesis():
     # |1/1 - 1/2| over a hypothesis length of 1.
-    assert npd(AlignmentMap(((0, 0),)), 1, 2) == 0.5
+    assert hlepor_sentence(["a"], ["a", "b"]).npd == 0.5
 
 
 # --- hpr --------------------------------------------------------------------
@@ -138,16 +146,21 @@ def test_npd_one_token_hypothesis():
 @given(st.integers(1, 20), st.floats(0.1, 20), st.floats(0.1, 20))
 def test_hpr_equals_x_when_p_equals_r(m, alpha, beta):
     # P == R == m / (2m)
-    value = hpr(m, 2 * m, 2 * m, alpha, beta)
-    assert value == pytest.approx(0.5, rel=1e-12)
+    breakdown = hlepor_sentence(["a"] * m + ["x"] * m, ["a"] * m + ["y"] * m,
+                                HleporParams(alpha, beta))
+    assert breakdown.hpr == pytest.approx(0.5, rel=1e-12)
 
 
 def test_hpr_worked_example():
-    assert hpr(2, 4, 2, 9.0, 1.0) == pytest.approx(5.0 / 5.5, abs=1e-15)
+    # P = 2/4 and R = 2/2: 10 * P * R / (9 * P + 1 * R).
+    breakdown = hlepor_sentence(["a", "a", "b", "b"], ["a", "a"])
+    assert (breakdown.precision, breakdown.recall) == (0.5, 1.0)
+    assert breakdown.hpr == pytest.approx(5.0 / 5.5, abs=1e-15)
 
 
 def test_hpr_zero_matches():
-    assert hpr(0, 5, 5, 9.0, 1.0) == 0.0
+    breakdown = hlepor_sentence(["a"] * 5, ["b"] * 5)
+    assert (breakdown.precision, breakdown.recall, breakdown.hpr) == (0.0, 0.0, 0.0)
 
 
 # --- sentence scoring -------------------------------------------------------
@@ -213,6 +226,14 @@ def test_sentence_component_bounds(hyp, ref):
         assert min(b.precision, b.recall) - 1e-12 <= b.hpr <= max(b.precision, b.recall) + 1e-12
 
 
+@settings(max_examples=400, deadline=None)
+@given(word_lists, word_lists, st.sampled_from([HleporParams(), *PRESETS.values()]))
+def test_sentence_breakdown_matches_the_formulas(hyp, ref, params):
+    breakdown = hlepor_sentence(hyp, ref, params)
+    expected = hlepor_components(align(hyp, ref), len(hyp), len(ref), params)
+    assert astuple(breakdown) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
 @given(st.permutations(list(range(6))))
 def test_permutation_never_beats_identity_order(perm):
     ref = ["t0", "t1", "t2", "t3", "t4", "t5"]
@@ -224,19 +245,19 @@ def test_permutation_never_beats_identity_order(perm):
 
 # --- corpus scoring ---------------------------------------------------------
 
+def corpus_hlepor(hyps, refs):
+    return evaluate_pairs(hyps, refs, ["hlepor"]).metrics["hlepor"].corpus
+
+
 def test_corpus_identical_pairs_score_100():
-    pairs = [(["a", "b"], ["a", "b"])] * 3
-    assert hlepor_corpus(pairs) == 100.0
+    assert corpus_hlepor(["a b"] * 3, ["a b"] * 3) == 100.0
 
 
 def test_corpus_is_mean_of_sentences():
-    pairs = [
-        (["the", "cat"], ["the", "cat", "sat"]),
-        (["a"], ["a", "b"]),
-    ]
-    s1 = hlepor_sentence(*pairs[0]).score
-    s2 = hlepor_sentence(*pairs[1]).score
-    assert hlepor_corpus(pairs) == pytest.approx((s1 + s2) / 2 * 100.0, abs=1e-12)
+    hyps, refs = ["the cat", "a"], ["the cat sat", "a b"]
+    s1 = hlepor_sentence(["the", "cat"], ["the", "cat", "sat"]).score
+    s2 = hlepor_sentence(["a"], ["a", "b"]).score
+    assert corpus_hlepor(hyps, refs) == pytest.approx((s1 + s2) / 2 * 100.0, abs=1e-12)
 
 
 def test_corpus_recomputation_over_random_pairs():
@@ -250,17 +271,18 @@ def test_corpus_recomputation_over_random_pairs():
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
         pairs.append((hyp, ref))
     expected = sum(hlepor_sentence(h, r).score for h, r in pairs) / len(pairs) * 100.0
-    assert hlepor_corpus(pairs) == pytest.approx(expected, abs=1e-9)
+    hyps, refs = ([" ".join(side) for side in sides] for sides in zip(*pairs))
+    assert corpus_hlepor(hyps, refs) == pytest.approx(expected, abs=1e-9)
 
 
 def test_corpus_empty_is_error():
     with pytest.raises(InputError):
-        hlepor_corpus([])
+        corpus_hlepor([], [])
 
 
 def test_corpus_of_empty_pairs_scores_100():
-    assert hlepor_corpus([((), ())]) == 100.0
-    assert hlepor_corpus([((), ())] * 3) == 100.0
+    assert corpus_hlepor([""], [""]) == 100.0
+    assert corpus_hlepor([""] * 3, [""] * 3) == 100.0
 
 
 # --- presets ----------------------------------------------------------------

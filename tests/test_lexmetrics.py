@@ -141,6 +141,15 @@ def test_meteor_params_validation():
         MeteorParams(gamma=1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": float("nan")}, r"alpha must be in \(0, 1\), got nan"),
+    ({"gamma": float("nan")}, r"gamma must be in \[0, 1\), got nan"),
+])
+def test_meteor_params_messages_name_the_value(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MeteorParams(**kwargs)
+
+
 def test_meteor_param_overrides():
     # gamma = 0 removes the fragmentation penalty entirely.
     score = meteor_exact(["b", "a"], ["a", "b"], MeteorParams(gamma=0.0))

@@ -12,10 +12,9 @@ configuration cannot be reproduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, _Checked
 from .textnorm import TokenizerConfig, extract_ngrams, tokenize
 
 SMOOTHINGS = ("none", "add-k", "exp")
@@ -25,16 +24,19 @@ SMOOTHINGS = ("none", "add-k", "exp")
 MAX_ORDER = 20
 
 
-@dataclass(frozen=True)
-class BleuConfig:
-    """Maximum n-gram order, smoothing for zero-count orders, tokenizer."""
-
+class _BleuFields(NamedTuple):
     max_n: int = 4
     smoothing: str = "none"
     smooth_k: float = 1.0
     tokenizer: TokenizerConfig = TokenizerConfig()
 
-    def __post_init__(self) -> None:
+
+class BleuConfig(_Checked, _BleuFields):
+    """Maximum n-gram order, smoothing for zero-count orders, tokenizer."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 1 <= self.max_n <= MAX_ORDER:
             raise ValueError(f"max_n must be between 1 and {MAX_ORDER}, got {self.max_n}")
         if self.smoothing not in SMOOTHINGS:
@@ -45,8 +47,7 @@ class BleuConfig:
             raise ValueError(f"smooth_k must be finite and > 0, got {self.smooth_k}")
 
 
-@dataclass(frozen=True)
-class BleuReport:
+class BleuReport(NamedTuple):
     """Per-order precisions (0-100), brevity penalty, overall score, token
     totals and clipped-count sufficient statistics."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 from ._version import SIGNATURE_VERSION, __version__
 from .bleu import MAX_ORDER, SMOOTHINGS
@@ -37,13 +36,13 @@ from .textnorm import SCHEMES, TokenizerConfig
 
 
 def _param_metavar(params_class) -> str:
-    return ",".join(f.name.upper() for f in fields(params_class))
+    return ",".join(name.upper() for name in params_class._fields)
 
 
 def _parse_params(flag: str, params_class, raw: str):
-    """One comma-separated float per dataclass field."""
+    """One comma-separated float per field of the NamedTuple `params_class`."""
     parts = raw.split(",")
-    if len(parts) != len(fields(params_class)):
+    if len(parts) != len(params_class._fields):
         raise InputError(f"{flag} expects {_param_metavar(params_class)}")
     try:
         return params_class(*map(float, parts))

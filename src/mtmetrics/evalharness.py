@@ -13,14 +13,13 @@ import codecs
 import json
 import math
 import numbers
-from dataclasses import asdict, astuple, dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._version import SIGNATURE_VERSION
 from .bleu import BleuConfig, BleuReport, bleu_corpus
-from .errors import InputError
+from .errors import InputError, _Checked
 from .hlepor import HleporParams, hlepor_sentence
 from .lexmetrics import MeteorParams, meteor_exact, rouge_l_f1
 from .textnorm import TokenizerConfig, tokenize
@@ -35,10 +34,7 @@ TIE = "TIE"
 _SCALES = {"bleu": 100, "hlepor": 100, "meteor": 1, "rouge-l": 1}
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Everything that can change a score, bundled so it can be disclosed."""
-
+class _EvalFields(NamedTuple):
     tokenizer: TokenizerConfig = TokenizerConfig()
     hlepor_params: HleporParams = HleporParams()
     meteor_params: MeteorParams = MeteorParams()
@@ -47,7 +43,13 @@ class EvalConfig:
     smooth_k: float = 1.0
     segment_bleu: bool = False
 
-    def __post_init__(self) -> None:
+
+class EvalConfig(_Checked, _EvalFields):
+    """Everything that can change a score, bundled so it can be disclosed."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         self.bleu_config()  # raises ValueError on bad BLEU settings
 
     def bleu_config(self) -> BleuConfig:
@@ -60,8 +62,8 @@ class EvalConfig:
             "max_n": self.max_n,
             "smoothing": self.smoothing,
             "smooth_k": self.smooth_k,
-            "hlepor_params": asdict(self.hlepor_params),
-            "meteor_params": asdict(self.meteor_params),
+            "hlepor_params": self.hlepor_params._asdict(),
+            "meteor_params": self.meteor_params._asdict(),
             "segment_bleu": self.segment_bleu,
         }
 
@@ -86,7 +88,7 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     for metric_id, params in (("hlepor", config.hlepor_params),
                               ("meteor", config.meteor_params)):
         if metric_id in metrics:
-            parts.append(f"{metric_id}:" + ",".join(format(v, "g") for v in astuple(params)))
+            parts.append(f"{metric_id}:" + ",".join(format(v, "g") for v in params))
     return "|".join(parts)
 
 
@@ -129,14 +131,12 @@ def read_tsv(path) -> tuple[list[str], list[str]]:
     return hyps, refs
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(NamedTuple):
     corpus: float
     segments: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """One corpus value per metric plus ordered per-segment score streams."""
 
     signature: str
@@ -280,23 +280,21 @@ def improvement_rate(before: float, after: float) -> float:
     return round_half_up(rate, 2)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     metric: str
     before: float
     after: float
     rate_percent: float | None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     signature: str
     rows: tuple[ComparisonRow, ...]
 
     def to_dict(self) -> dict:
         return {
             "signature": self.signature,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [row._asdict() for row in self.rows],
         }
 
 
@@ -417,8 +415,7 @@ def read_score_table(path) -> ScoreTable:
     return ScoreTable.from_dict(data)
 
 
-@dataclass(frozen=True)
-class WinnerMatrix:
+class WinnerMatrix(NamedTuple):
     """Per-(task, metric) winner plus pairwise metric agreement over tasks.
 
     ``winner_matrix`` fills ``winners``, ``agreement`` and ``compared_tasks``

@@ -15,15 +15,21 @@ earliest occurrences on equal cost (see ``_kernels``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, _Checked
 
 
-@dataclass(frozen=True)
-class HleporParams:
+class _HleporFields(NamedTuple):
+    alpha: float = 9.0
+    beta: float = 1.0
+    w_lp: float = 2.0
+    w_npp: float = 1.0
+    w_hpr: float = 3.0
+
+
+class HleporParams(_Checked, _HleporFields):
     """The five hLEPOR hyper-parameters.
 
     alpha and beta weight recall vs precision inside the harmonic
@@ -34,15 +40,10 @@ class HleporParams:
     and recall neither overflow nor round to zero.
     """
 
-    alpha: float = 9.0
-    beta: float = 1.0
-    w_lp: float = 2.0
-    w_npp: float = 1.0
-    w_hpr: float = 3.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "w_lp", "w_npp", "w_hpr"):
-            value = getattr(self, name)
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not 1e-300 <= value <= 1e300:
                 raise ValueError(f"{name} must be between 1e-300 and 1e300, got {value}")
 
@@ -91,8 +92,7 @@ class AlignmentMap(tuple):
         return self
 
 
-@dataclass(frozen=True)
-class HleporBreakdown:
+class HleporBreakdown(NamedTuple):
     """One sentence's hLEPOR score and the components it combines.
 
     With hypothesis length lh, reference length lr and m aligned pairs

@@ -11,30 +11,32 @@ of the full tool are not implemented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
+from .errors import _Checked
 from .hlepor import AlignmentMap, align
 
 
-@dataclass(frozen=True)
-class RougeLScore:
+class RougeLScore(NamedTuple):
     precision: float
     recall: float
     f1: float
     lcs_len: int
 
 
-@dataclass(frozen=True)
-class MeteorParams:
-    """Recall weight alpha, fragmentation exponent beta, penalty weight gamma."""
-
+class _MeteorFields(NamedTuple):
     alpha: float = 0.9
     beta: float = 3.0
     gamma: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class MeteorParams(_Checked, _MeteorFields):
+    """Recall weight alpha, fragmentation exponent beta, penalty weight gamma."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):

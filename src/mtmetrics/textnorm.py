@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .errors import _Checked
 
 SCHEMES = ("13a", "whitespace", "none")
 
@@ -61,14 +62,17 @@ def _space_before_both(match: re.Match) -> str:
     return " " + match[1] + " " + match[2]
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Tokenization scheme plus casing; immutable so results reproduce."""
-
+class _TokenizerFields(NamedTuple):
     scheme: str = "13a"
     lowercase: bool = True
 
-    def __post_init__(self) -> None:
+
+class TokenizerConfig(_Checked, _TokenizerFields):
+    """Tokenization scheme plus casing; immutable so results reproduce."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"unknown tokenizer scheme {self.scheme!r}; expected one of {SCHEMES}"

@@ -1,4 +1,5 @@
-"""Every command loads nothing beyond the standard library and mtmetrics.
+"""Every command loads nothing beyond the standard library and mtmetrics,
+and no command loads ``dataclasses``.
 
 Each case runs ``cli.main`` in a fresh interpreter and compares the modules
 it ends with against those the interpreter had loaded before the probe
@@ -23,9 +24,11 @@ from mtmetrics.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-foreign = sorted(name for name in set(sys.modules) - baseline
-                 if name.partition(".")[0] not in (*sys.stdlib_module_names, "mtmetrics"))
-print(json.dumps({"code": code, "foreign": foreign, "stdout": out.getvalue()}))
+loaded = sorted(set(sys.modules) - baseline)
+foreign = [name for name in loaded
+           if name.partition(".")[0] not in (*sys.stdlib_module_names, "mtmetrics")]
+print(json.dumps({"code": code, "loaded": loaded, "foreign": foreign,
+                  "stdout": out.getvalue()}))
 """
 
 COMMANDS = {
@@ -79,3 +82,12 @@ def test_no_command_needs_numpy(name, files):
     result = run_probe(full_command(name, files))
     assert (result["code"], result["foreign"]) == (0, [])
     assert result["stdout"]
+
+
+# dataclasses brings inspect, ast, dis and tokenize with it, and each
+# decorated class execs generated methods: most of the import time.
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_command_imports_dataclasses(name, files):
+    result = run_probe(full_command(name, files))
+    assert result["code"] == 0
+    assert "dataclasses" not in result["loaded"]

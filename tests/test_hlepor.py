@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,7 +230,7 @@ def test_sentence_component_bounds(hyp, ref):
 def test_sentence_breakdown_matches_the_formulas(hyp, ref, params):
     breakdown = hlepor_sentence(hyp, ref, params)
     expected = hlepor_components(align(hyp, ref), len(hyp), len(ref), params)
-    assert astuple(breakdown) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert tuple(breakdown) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @given(st.permutations(list(range(6))))

@@ -207,11 +207,3 @@ def test_token_sequence_is_a_tuple():
     assert isinstance(seq, tuple)
     assert seq == ("a", "b")
     assert seq.tokens is seq
-
-
-def test_config_is_immutable():
-    config = TokenizerConfig("13a", lowercase=True)
-    with pytest.raises(AttributeError):
-        config.lowercase = False
-    with pytest.raises(AttributeError):
-        config.scheme = "whitespace"

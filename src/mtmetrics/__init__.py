@@ -25,14 +25,11 @@ from .evalharness import (
     improvement_rate,
     read_lines,
     read_score_table,
-    read_tsv,
     render_report,
-    run_signature,
     winner_matrix,
 )
 from .hlepor import (
     PRESETS,
-    AlignmentMap,
     HleporBreakdown,
     HleporParams,
     align,
@@ -48,7 +45,6 @@ from .lexmetrics import (
 )
 from .textnorm import (
     TokenizerConfig,
-    TokenSequence,
     extract_ngrams,
     tokenize,
 )
@@ -56,7 +52,6 @@ from .textnorm import (
 __all__ = [
     "SIGNATURE_VERSION",
     "__version__",
-    "AlignmentMap",
     "BleuConfig",
     "BleuReport",
     "ComparisonReport",
@@ -73,7 +68,6 @@ __all__ = [
     "RougeLScore",
     "ScoreTable",
     "TIE",
-    "TokenSequence",
     "TokenizerConfig",
     "WinnerMatrix",
     "align",
@@ -89,10 +83,8 @@ __all__ = [
     "preset",
     "read_lines",
     "read_score_table",
-    "read_tsv",
     "render_report",
     "rouge_l_f1",
-    "run_signature",
     "tokenize",
     "winner_matrix",
 ]

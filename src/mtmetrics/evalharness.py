@@ -242,7 +242,8 @@ def evaluate_pairs(hyps: Sequence[str], refs: Sequence[str],
 def evaluate_corpus(hyp_file, ref_file,
                     metrics: Iterable[str] = METRICS,
                     config: EvalConfig = EvalConfig()) -> EvaluationReport:
-    """Score two line-aligned UTF-8 files against each other."""
+    """Score two line-aligned UTF-8 files against each other. A corpus-level
+    InputError, such as an empty corpus, names the hypothesis file."""
     hyps = read_lines(hyp_file)
     refs = read_lines(ref_file)
     if len(hyps) != len(refs):
@@ -250,7 +251,11 @@ def evaluate_corpus(hyp_file, ref_file,
             f"line count mismatch: {hyp_file} has {len(hyps)} lines, "
             f"{ref_file} has {len(refs)} lines"
         )
-    return evaluate_pairs(hyps, refs, metrics, config)
+    metric_ids = _validated_metrics(metrics)  # not the file's fault: left unprefixed
+    try:
+        return evaluate_pairs(hyps, refs, metric_ids, config)
+    except InputError as exc:
+        raise InputError(f"{hyp_file}: {exc}") from None
 
 
 def round_half_up(value: float, decimals: int) -> float:
@@ -393,6 +398,7 @@ class ScoreTable:
             try:
                 rows.append((row["system"], row["task"], row["metric"], row["value"]))
             except (TypeError, KeyError) as exc:
+                _checked_rows(rows)  # an earlier bad row is named first
                 raise InputError(
                     f"score table row {index} needs system/task/metric/value: {exc}"
                 ) from None

@@ -81,9 +81,8 @@ def preset(language_pair: str) -> HleporParams:
 
 
 class AlignmentMap(tuple):
-    """Injective matching of equal tokens, as a tuple of (hyp_index,
-    ref_index) pairs sorted by hypothesis position. ``pairs`` returns the
-    tuple itself; it stays while ``perfbench`` reads ``align(...).pairs``."""
+    """Benchmark adapter, not library API: ``align``'s tuple of pairs, whose
+    ``pairs`` is itself, for ``perfbench``'s ``align(...).pairs``."""
 
     __slots__ = ()
 
@@ -119,8 +118,9 @@ class HleporBreakdown(NamedTuple):
     score: float
 
 
-def align(hyp: Sequence[str], ref: Sequence[str]) -> AlignmentMap:
-    """Best exact-token alignment between hypothesis and reference.
+def align(hyp: Sequence[str], ref: Sequence[str]) -> tuple[tuple[int, int], ...]:
+    """Best exact-token alignment, as (hyp_index, ref_index) pairs of equal
+    tokens sorted by hypothesis position, each index used at most once.
 
     Maximum cardinality first; among those, minimum total normalized
     position difference sum(|i/len_hyp - j/len_ref|); remaining ties go to

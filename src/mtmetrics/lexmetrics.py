@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .errors import _Checked
-from .hlepor import AlignmentMap, align
+from .hlepor import align
 
 
 class RougeLScore(NamedTuple):
@@ -67,7 +67,7 @@ def rouge_l_f1(hyp: Sequence[str], ref: Sequence[str]) -> RougeLScore:
     return RougeLScore(precision, recall, f1, lcs)
 
 
-def _chunk_count(alignment: AlignmentMap) -> int:
+def _chunk_count(alignment: tuple[tuple[int, int], ...]) -> int:
     # A chunk extends while matches are adjacent in the hypothesis and their
     # reference positions advance by exactly one.
     ref_at = dict(alignment)

@@ -80,8 +80,8 @@ class TokenizerConfig(_Checked, _TokenizerFields):
 
 
 class TokenSequence(tuple):
-    """The tokens of one segment, as a tuple. ``tokens`` returns the tuple
-    itself; it stays while ``perfbench`` reads ``tokenize(...).tokens``."""
+    """Benchmark adapter, not library API: ``tokenize``'s ``tuple[str, ...]``,
+    whose ``tokens`` is itself, for ``perfbench``'s ``tokenize(...).tokens``."""
 
     __slots__ = ()
 
@@ -110,8 +110,8 @@ def _normalize_13a(text: str) -> str:
     return text
 
 
-def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> TokenSequence:
-    """Tokenize one segment. Empty text yields an empty sequence."""
+def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[str, ...]:
+    """Tokenize one segment into a tuple of str; empty text yields ()."""
     if config.scheme == "13a":
         tokens = _normalize_13a(text).split()
     elif config.scheme == "whitespace":

@@ -167,7 +167,7 @@ def test_criterion_3c_alignment_vs_enumeration():
         result = align(hyp, ref)
         card, cost = bf_best_matching(hyp, ref)
         assert len(result) == card
-        assert scaled_matching_cost(result.pairs, len(hyp), len(ref)) == cost
+        assert scaled_matching_cost(result, len(hyp), len(ref)) == cost
     ok("criterion 3c: alignment cardinality and total |PD| equal exhaustive matching (1000 pairs)")
 
 
@@ -231,12 +231,12 @@ def test_criterion_4_identities_and_bounds():
 def test_criterion_5_tokenizer():
     lc = TokenizerConfig("13a", lowercase=True)
     raw = TokenizerConfig("13a", lowercase=False)
-    assert tokenize("Hello, world!", lc).tokens == ("hello", ",", "world", "!")
-    assert tokenize("It costs 1,234.5 dollars.", raw).tokens == (
+    assert tokenize("Hello, world!", lc) == ("hello", ",", "world", "!")
+    assert tokenize("It costs 1,234.5 dollars.", raw) == (
         "It", "costs", "1,234.5", "dollars", ".",
     )
-    assert tokenize("a b  c", TokenizerConfig("whitespace", False)).tokens == ("a", "b", "c")
-    assert tokenize("3-4 a-b 1,2 x,y 9.9 end.", raw).tokens == (
+    assert tokenize("a b  c", TokenizerConfig("whitespace", False)) == ("a", "b", "c")
+    assert tokenize("3-4 a-b 1,2 x,y 9.9 end.", raw) == (
         "3", "-", "4", "a-b", "1,2", "x", ",", "y", "9.9", "end", ".",
     )
 
@@ -246,8 +246,8 @@ def test_criterion_5_tokenizer():
         text = "".join(rng.choice(printable) for _ in range(rng.randint(0, 40)))
         for config in (lc, raw):
             once = tokenize(text, config)
-            again = tokenize(" ".join(once.tokens), config)
-            assert once.tokens == again.tokens
+            again = tokenize(" ".join(once), config)
+            assert once == again
     ok("criterion 5: 13a fixtures byte-exact; idempotent on 1000 random printable strings")
 
 

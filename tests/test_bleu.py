@@ -35,8 +35,8 @@ def test_identical_corpus_scores_100():
 
 
 def test_worked_example_matches_brute_force():
-    hyp_tokens = tokenize("the cat sat on the mat").tokens
-    ref_tokens = tokenize("the cat sat on a mat").tokens
+    hyp_tokens = tokenize("the cat sat on the mat")
+    ref_tokens = tokenize("the cat sat on a mat")
     report = bleu_corpus(["the cat sat on the mat"], ["the cat sat on a mat"])
     expected_precisions = []
     for n in range(1, 5):

@@ -160,7 +160,8 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
 
 
 # HYP and REF stand for the two files of `parallel_files`, MISSING for a
-# path that does not exist and EMPTY for an empty file.
+# path that does not exist, EMPTY for an empty file and BLANK for a file of
+# two blank lines.
 @pytest.mark.parametrize("argv, named", [
     (["score", "--metric", "bleu", "--tsv", "HYP", "--hyp", "HYP"], "--tsv cannot be combined"),
     (["score", "--metric", "bleu"], "score needs --hyp and --ref"),
@@ -177,12 +178,16 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
     (["score", "--metric", "bleu", "--ref", "REF"], "score needs --hyp and --ref"),
     *((["score", "--metric", metric, "--hyp", "EMPTY", "--ref", "EMPTY"], "empty corpus")
       for metric in ("bleu", "hlepor", "meteor", "rouge-l")),
+    (["compare", "--before", "HYP", "--after", "BLANK", "--ref", "REF"],
+     "blank.txt: all hypothesis segments are empty"),
 ])
 def test_bad_inputs_exit_2(parallel_files, tmp_path, capsys, argv, named):
     paths = dict(zip(("HYP", "REF"), parallel_files))
     paths["MISSING"] = str(tmp_path / "missing.txt")
     (tmp_path / "empty.txt").write_bytes(b"")
     paths["EMPTY"] = str(tmp_path / "empty.txt")
+    (tmp_path / "blank.txt").write_bytes(b"\n\n")
+    paths["BLANK"] = str(tmp_path / "blank.txt")
     code = main([paths.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -507,6 +512,11 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
                  "row 1 needs system/task/metric/value", id="row-without-value"),
     pytest.param('{"rows": [5]}', [], "row 1 needs system/task/metric/value",
                  id="row-not-an-object"),
+    # A bad label in row 1 is named before the missing field of row 3.
+    pytest.param('{"rows": [{"system": 5, "task": "t", "metric": "m", "value": 1},'
+                 ' {"system": "b", "task": "t", "metric": "m", "value": 2},'
+                 ' {"system": "c", "task": "t", "value": 3}]}', [],
+                 "row 1: system must be a string", id="bad-row-before-missing-field"),
 ])
 def test_matrix_bad_score_table_exits_2(tmp_path, capsys, body, extra, named):
     path = tmp_path / "scores.json"

@@ -238,4 +238,4 @@ def test_alignment_oracle_through_public_dispatch():
         result = align(hyp, ref)
         card, cost = bf_best_matching(hyp, ref)
         assert len(result) == card
-        assert scaled_matching_cost(result.pairs, len(hyp), len(ref)) == cost
+        assert scaled_matching_cost(result, len(hyp), len(ref)) == cost

@@ -8,6 +8,9 @@ same alone as inside a corpus; and an identity pair scores the maximum.
 """
 
 import codecs
+import re
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +118,7 @@ def test_each_metric_scores_the_same_alone_and_with_others(pairs, metric_ids):
 @settings(max_examples=300, deadline=None)
 @given(tokens, tokens)
 def test_lcs_at_least_longest_meteor_chunk(hyp, ref):
-    assert lcs_length(hyp, ref) >= _longest_chunk(align(hyp, ref).pairs)
+    assert lcs_length(hyp, ref) >= _longest_chunk(align(hyp, ref))
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,3 +213,13 @@ def test_every_exported_name_resolves():
     for name in mtmetrics.__all__:
         assert hasattr(mtmetrics, name), name
     assert len(set(mtmetrics.__all__)) == len(mtmetrics.__all__)
+    # __all__ is the README's "Library API" list, and the package namespace
+    # holds nothing public beyond it and the submodules.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    documented = [name for line in section.splitlines() if line.startswith("- ")
+                  for name in re.findall(r"`(\w+)`", line)]
+    assert sorted(mtmetrics.__all__) == sorted(documented)
+    public = {name for name, value in vars(mtmetrics).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(mtmetrics.__all__) - {"__version__"}

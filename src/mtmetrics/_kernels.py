@@ -16,11 +16,13 @@ from typing import Hashable, Sequence
 
 
 class Codes(tuple):
-    """A tuple of kernel inputs: tokens for the LCS, integer positions for
-    the selection. The benchmark's tracer reads its ``size``."""
+    """The tuple that ``tokenize`` and ``align`` return and the kernels take,
+    with the names the benchmark reads: ``tokens`` and ``pairs`` are the tuple
+    itself, and ``size`` is its length."""
 
     __slots__ = ()
     size = property(len)
+    tokens = pairs = property(lambda self: self)
 
 
 def active_backend() -> str:

@@ -4,15 +4,17 @@ Subcommands: ``score`` one metric over a hypothesis/reference pair of
 files, ``compare`` two systems against one reference with improvement
 rates, ``matrix`` a winner matrix from a score-table JSON file.
 
-Reports go to stdout, diagnostics to stderr. Exit codes: 0 success, 2 bad
-input (flags, files, presets, malformed JSON), 1 internal error. Identical
-invocations produce byte-identical stdout, and every successful run prints
-or embeds a settings signature sufficient to re-run it.
+Reports go to stdout as UTF-8, diagnostics to stderr. Exit codes: 0
+success, 2 bad input (flags, files, presets, malformed JSON), 141 a reader
+that closed stdout early, 1 internal error. Identical invocations produce
+byte-identical stdout, and every successful run prints or embeds a settings
+signature sufficient to re-run it.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -24,9 +26,8 @@ from .evalharness import (
     EvalConfig,
     compare_files,
     evaluate_corpus,
-    evaluate_pairs,
+    evaluate_tsv,
     read_score_table,
-    read_tsv,
     render_report,
     winner_matrix,
 )
@@ -144,25 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_score(args: argparse.Namespace) -> int:
+def run_score(args: argparse.Namespace):
     config = _config_from_args(args)
     if args.tsv:
         if args.hyp or args.ref:
             raise InputError("--tsv cannot be combined with --hyp/--ref")
         _require_file("--tsv", args.tsv)
-        hyps, refs = read_tsv(args.tsv)
-        report = evaluate_pairs(hyps, refs, (args.metric,), config)
-    else:
-        if not args.hyp or not args.ref:
-            raise InputError("score needs --hyp and --ref (or --tsv)")
-        _require_file("--hyp", args.hyp)
-        _require_file("--ref", args.ref)
-        report = evaluate_corpus(args.hyp, args.ref, (args.metric,), config)
-    print(render_report(report, args.format))
-    return 0
+        return evaluate_tsv(args.tsv, (args.metric,), config)
+    if not args.hyp or not args.ref:
+        raise InputError("score needs --hyp and --ref (or --tsv)")
+    _require_file("--hyp", args.hyp)
+    _require_file("--ref", args.ref)
+    return evaluate_corpus(args.hyp, args.ref, (args.metric,), config)
 
 
-def run_compare(args: argparse.Namespace) -> int:
+def run_compare(args: argparse.Namespace):
     config = _config_from_args(args)
     metric_ids = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metric_ids:
@@ -172,16 +169,12 @@ def run_compare(args: argparse.Namespace) -> int:
     if not os.path.isfile(args.ref):  # a pipe could be read only once
         raise InputError("--ref: compare reads the reference once per system, so it "
                          f"must be a regular file: {args.ref}")
-    comparison = compare_files(args.before, args.after, args.ref, metric_ids, config)
-    print(render_report(comparison, args.format))
-    return 0
+    return compare_files(args.before, args.after, args.ref, metric_ids, config)
 
 
-def run_matrix(args: argparse.Namespace) -> int:
+def run_matrix(args: argparse.Namespace):
     _require_file("--scores", args.scores)
-    matrix = winner_matrix(read_score_table(args.scores), decimals=args.decimals)
-    print(render_report(matrix, args.format))
-    return 0
+    return winner_matrix(read_score_table(args.scores), decimals=args.decimals)
 
 
 _COMMANDS = {"score": run_score, "compare": run_compare, "matrix": run_matrix}
@@ -194,13 +187,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
+        if isinstance(sys.stdout, io.TextIOWrapper):  # not an in-process io.StringIO
+            sys.stdout.reconfigure(encoding="utf-8")  # whatever the locale says
+        sys.stdout.write(render_report(report, args.format) + "\n")
+        sys.stdout.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # Point stdout at os.devnull so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as the shell reports for `cat`
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report and exit
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

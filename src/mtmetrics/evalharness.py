@@ -68,6 +68,11 @@ class EvalConfig(_Checked, _EvalFields):
         }
 
 
+def _exact(value: float) -> str:
+    text = format(value, "g")  # 6 significant digits; repr keeps every one
+    return text if float(text) == value else repr(value)
+
+
 def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     """Settings summary sufficient to re-run an evaluation."""
     tokenizer = config.tokenizer
@@ -80,7 +85,7 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     if "bleu" in metrics:
         smooth = config.smoothing
         if smooth == "add-k":  # k changes the score, so it is written too
-            smooth = f"add-k({format(config.smooth_k, 'g')})"
+            smooth = f"add-k({_exact(config.smooth_k)})"
         parts.append(f"smooth:{smooth}")
         parts.append(f"n:{config.max_n}")
         if config.segment_bleu:
@@ -88,7 +93,7 @@ def run_signature(metrics: Sequence[str], config: EvalConfig) -> str:
     for metric_id, params in (("hlepor", config.hlepor_params),
                               ("meteor", config.meteor_params)):
         if metric_id in metrics:
-            parts.append(f"{metric_id}:" + ",".join(format(v, "g") for v in params))
+            parts.append(f"{metric_id}:" + ",".join(map(_exact, params)))
     return "|".join(parts)
 
 
@@ -251,11 +256,21 @@ def evaluate_corpus(hyp_file, ref_file,
             f"line count mismatch: {hyp_file} has {len(hyps)} lines, "
             f"{ref_file} has {len(refs)} lines"
         )
+    return _evaluate_file(hyp_file, hyps, refs, metrics, config)
+
+
+def evaluate_tsv(path, metrics: Iterable[str], config: EvalConfig) -> EvaluationReport:
+    """``evaluate_corpus`` for a two-column hypothesis<TAB>reference file."""
+    return _evaluate_file(path, *read_tsv(path), metrics, config)
+
+
+def _evaluate_file(path, hyps, refs, metrics, config) -> EvaluationReport:
+    """``evaluate_pairs``, with `path` prefixed to a corpus-level InputError."""
     metric_ids = _validated_metrics(metrics)  # not the file's fault: left unprefixed
     try:
         return evaluate_pairs(hyps, refs, metric_ids, config)
     except InputError as exc:
-        raise InputError(f"{hyp_file}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 def round_half_up(value: float, decimals: int) -> float:
@@ -372,7 +387,8 @@ def _checked_rows(rows) -> tuple[tuple, dict[str, dict[str, dict[str, float]]]]:
         by_metric = index.get(task) or index.setdefault(task, {})
         cell = by_metric.get(metric) or by_metric.setdefault(metric, {})
         if system in cell:
-            raise InputError(f"duplicate score table entry {(system, task, metric)}")
+            raise InputError(f"score table row {number}: duplicate score table entry "
+                             f"{(system, task, metric)}")
         cell[system] = value
     if rebuild:
         rows = tuple((s, t, m, float(v)) for s, t, m, v in rows)

@@ -80,17 +80,6 @@ def preset(language_pair: str) -> HleporParams:
         ) from None
 
 
-class AlignmentMap(tuple):
-    """Benchmark adapter, not library API: ``align``'s tuple of pairs, whose
-    ``pairs`` is itself, for ``perfbench``'s ``align(...).pairs``."""
-
-    __slots__ = ()
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self
-
-
 class HleporBreakdown(NamedTuple):
     """One sentence's hLEPOR score and the components it combines.
 
@@ -153,7 +142,7 @@ def align(hyp: Sequence[str], ref: Sequence[str]) -> tuple[tuple[int, int], ...]
             chosen = zip(map(hp.__getitem__, _kernels.ordered_selection(ref_codes, hyp_codes)), rp)
         pairs.extend(chosen)
     pairs.sort()
-    return AlignmentMap(pairs)
+    return _kernels.Codes(pairs)
 
 
 def hlepor_sentence(hyp: Sequence[str], ref: Sequence[str],

@@ -38,6 +38,7 @@ import re
 from collections import Counter
 from typing import NamedTuple, Sequence
 
+from ._kernels import Codes
 from .errors import _Checked
 
 SCHEMES = ("13a", "whitespace", "none")
@@ -79,17 +80,6 @@ class TokenizerConfig(_Checked, _TokenizerFields):
             )
 
 
-class TokenSequence(tuple):
-    """Benchmark adapter, not library API: ``tokenize``'s ``tuple[str, ...]``,
-    whose ``tokens`` is itself, for ``perfbench``'s ``tokenize(...).tokens``."""
-
-    __slots__ = ()
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return self
-
-
 def _normalize_13a(text: str) -> str:
     if "&" in text:
         text = text.replace("&quot;", '"')
@@ -120,7 +110,7 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[st
         tokens = [tok for tok in text.split(" ") if tok]
     if config.lowercase:
         tokens = [tok.lower() for tok in tokens]
-    return TokenSequence(tokens)
+    return Codes(tokens)
 
 
 def extract_ngrams(seq: Sequence[str], n: int) -> Counter:

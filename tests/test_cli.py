@@ -160,8 +160,9 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
 
 
 # HYP and REF stand for the two files of `parallel_files`, MISSING for a
-# path that does not exist, EMPTY for an empty file and BLANK for a file of
-# two blank lines.
+# path that does not exist, EMPTY for an empty file, BLANK for a file of two
+# blank lines, and EMPTY_TSV and BLANK_TSV for the same two as TSV files,
+# whose two blank lines hold two empty columns each.
 @pytest.mark.parametrize("argv, named", [
     (["score", "--metric", "bleu", "--tsv", "HYP", "--hyp", "HYP"], "--tsv cannot be combined"),
     (["score", "--metric", "bleu"], "score needs --hyp and --ref"),
@@ -180,6 +181,9 @@ def test_compare_unknown_metric_exits_2(parallel_files, capsys):
       for metric in ("bleu", "hlepor", "meteor", "rouge-l")),
     (["compare", "--before", "HYP", "--after", "BLANK", "--ref", "REF"],
      "blank.txt: all hypothesis segments are empty"),
+    (["score", "--metric", "hlepor", "--tsv", "EMPTY_TSV"], "empty.tsv: empty corpus"),
+    (["score", "--metric", "bleu", "--tsv", "BLANK_TSV"],
+     "blank.tsv: all hypothesis segments are empty"),
 ])
 def test_bad_inputs_exit_2(parallel_files, tmp_path, capsys, argv, named):
     paths = dict(zip(("HYP", "REF"), parallel_files))
@@ -188,6 +192,10 @@ def test_bad_inputs_exit_2(parallel_files, tmp_path, capsys, argv, named):
     paths["EMPTY"] = str(tmp_path / "empty.txt")
     (tmp_path / "blank.txt").write_bytes(b"\n\n")
     paths["BLANK"] = str(tmp_path / "blank.txt")
+    (tmp_path / "empty.tsv").write_bytes(b"")
+    paths["EMPTY_TSV"] = str(tmp_path / "empty.tsv")
+    (tmp_path / "blank.tsv").write_bytes(b"\t\n\t\n")
+    paths["BLANK_TSV"] = str(tmp_path / "blank.tsv")
     code = main([paths.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -292,6 +300,47 @@ def test_module_runs_as_a_script(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --scores: file not found")
+
+
+def run_module(args, **kwargs):
+    """Run `python -m mtmetrics.cli ARGS` on this checkout's package; an `env`
+    keyword adds to the environment."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **kwargs.pop("env", {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mtmetrics.cli", *args], env=env,
+                          timeout=60, **kwargs)
+
+
+def test_reader_that_closed_stdout_exits_141_quietly(parallel_files):
+    # 141 is 128 + SIGPIPE, what the shell reports for `cat` in the same place.
+    hyp, ref = parallel_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(["score", "--metric", "bleu", "--hyp", hyp, "--ref", ref],
+                          stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_stdout_is_utf8_whatever_the_stdout_encoding(tmp_path):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({"rows": [
+        {"system": "\u00c7", "task": "t", "metric": "m", "value": 2.0},
+        {"system": "B", "task": "t", "metric": "m", "value": 1.0},
+    ]}), encoding="utf-8")
+    outputs = {}
+    for encoding in (None, "ascii", "latin-1"):
+        env = {} if encoding is None else {"PYTHONIOENCODING": encoding}
+        proc = run_module(["matrix", "--scores", str(path)], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        outputs[encoding] = proc.stdout
+    assert "\u00c7".encode("utf-8") in outputs[None]
+    assert outputs["ascii"] == outputs["latin-1"] == outputs[None]
 
 
 def test_segment_bleu_is_a_score_option_only(parallel_files, capsys):
@@ -512,6 +561,9 @@ def test_matrix_rounds_huge_values(tmp_path, capsys):
                  "row 1 needs system/task/metric/value", id="row-without-value"),
     pytest.param('{"rows": [5]}', [], "row 1 needs system/task/metric/value",
                  id="row-not-an-object"),
+    pytest.param('{"rows": [{"system": "a", "task": "t", "metric": "m", "value": 1},'
+                 ' {"system": "a", "task": "t", "metric": "m", "value": 2}]}', [],
+                 "row 2: duplicate score table entry ('a', 't', 'm')", id="duplicate-entry"),
     # A bad label in row 1 is named before the missing field of row 3.
     pytest.param('{"rows": [{"system": 5, "task": "t", "metric": "m", "value": 1},'
                  ' {"system": "b", "task": "t", "metric": "m", "value": 2},'

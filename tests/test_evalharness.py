@@ -187,6 +187,17 @@ def test_winner_matrix_rounding_policy_can_create_ties():
     assert winner_matrix(table, decimals=3).winners[("t", "m")] == TIE
 
 
+def test_winner_matrix_leaves_its_table_alone():
+    # Rounding to 0 decimals turns s1's win, 1.4 against 1.2, into a tie; the
+    # rounded values must not stay behind in the table.
+    rows = (("s1", "t", "m", 1.4), ("s2", "t", "m", 1.2))
+    table = ScoreTable(rows)
+    assert winner_matrix(table, decimals=0).winners == {("t", "m"): TIE}
+    assert winner_matrix(table) == winner_matrix(ScoreTable(rows))
+    assert winner_matrix(table).winners == {("t", "m"): "s1"}
+    assert table.rows == rows
+
+
 def test_winner_matrix_row_permutation_invariant():
     table = clinical_table()
     reversed_table = ScoreTable(list(reversed(table.rows)))
@@ -557,6 +568,30 @@ def test_run_signature_hlepor_meteor_blocks():
         "mteval:v2|case:lc|tok:13a|metrics:meteor+hlepor"
         "|hlepor:1,9,2.5,1,7|meteor:0.8,2.5,0.25"
     )
+
+
+# Both pairs of settings score apart, and `format(v, "g")` writes both
+# members of a pair alike: a signature keeps every digit that `g` would drop.
+@pytest.mark.parametrize("flags, exact, rounded, written", [
+    (["--metric", "hlepor", "--hlepor-params"], "9.1234567,1,2,1,3", "9.12346,1,2,1,3",
+     "|hlepor:{}"),
+    (["--metric", "bleu", "--smoothing", "add-k", "--smooth-k"], "0.1234567", "0.123457",
+     "|smooth:add-k({})|"),
+])
+def test_signature_writes_every_digit_of_a_setting(tmp_path, capsys, flags, exact, rounded,
+                                                   written):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the cat sat on the mat today\n", encoding="utf-8")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the cat sat on a mat\n", encoding="utf-8")
+    reports = {}
+    for value in (exact, rounded):
+        argv = ["score", *flags, value, "--hyp", str(hyp), "--ref", str(ref), "--format", "json"]
+        assert main(argv) == 0
+        reports[value] = json.loads(capsys.readouterr().out)
+        assert written.format(value) in reports[value]["signature"]
+    scores = {value: report["metrics"][flags[1]]["corpus"] for value, report in reports.items()}
+    assert scores[exact] != scores[rounded]
 
 
 @pytest.mark.parametrize("scheme, tok", [("13a", "13a"), ("whitespace", "ws"), ("none", "none")])

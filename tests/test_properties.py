@@ -23,10 +23,11 @@ from mtmetrics.evalharness import (
     ScoreTable,
     evaluate_pairs,
     read_lines,
+    run_signature,
     winner_matrix,
 )
 from oracles import UndecodableLine, bf_winner_matrix, ref_read_lines
-from mtmetrics.hlepor import align, hlepor_sentence
+from mtmetrics.hlepor import HleporParams, align, hlepor_sentence
 from mtmetrics.lexmetrics import MeteorParams, lcs_length, meteor_exact, rouge_l_f1
 from mtmetrics.textnorm import TokenizerConfig, extract_ngrams, tokenize
 
@@ -223,3 +224,21 @@ def test_every_exported_name_resolves():
     public = {name for name, value in vars(mtmetrics).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(mtmetrics.__all__) - {"__version__"}
+
+
+def _finite(low, high, **bounds):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(HleporParams, *[_finite(1e-300, 1e300)] * 5),
+       st.builds(MeteorParams, _finite(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 _finite(0.0, None, exclude_min=True), _finite(0.0, 1.0, exclude_max=True)),
+       _finite(0.0, None, exclude_min=True))
+def test_signature_numbers_read_back_as_the_settings(hlepor_params, meteor_params, smooth_k):
+    config = EvalConfig(hlepor_params=hlepor_params, meteor_params=meteor_params,
+                        smoothing="add-k", smooth_k=smooth_k)
+    parts = dict(part.split(":", 1) for part in run_signature(METRICS, config).split("|"))
+    assert tuple(map(float, parts["hlepor"].split(","))) == hlepor_params
+    assert tuple(map(float, parts["meteor"].split(","))) == meteor_params
+    assert float(parts["smooth"].removeprefix("add-k(").removesuffix(")")) == smooth_k

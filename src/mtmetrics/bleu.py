@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError, _Checked
+from .errors import InputError, _checked, _is_number
 from .textnorm import TokenizerConfig, extract_ngrams, tokenize
 
 SMOOTHINGS = ("none", "add-k", "exp")
@@ -24,27 +24,30 @@ SMOOTHINGS = ("none", "add-k", "exp")
 MAX_ORDER = 20
 
 
-class _BleuFields(NamedTuple):
+@_checked
+class BleuConfig(NamedTuple):
+    """Maximum n-gram order, smoothing for zero-count orders, tokenizer."""
+
     max_n: int = 4
     smoothing: str = "none"
     smooth_k: float = 1.0
     tokenizer: TokenizerConfig = TokenizerConfig()
 
-
-class BleuConfig(_Checked, _BleuFields):
-    """Maximum n-gram order, smoothing for zero-count orders, tokenizer."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
+        if not isinstance(self.max_n, int) or isinstance(self.max_n, bool):
+            raise ValueError(f"max_n must be an int, got {self.max_n!r}")
         if not 1 <= self.max_n <= MAX_ORDER:
             raise ValueError(f"max_n must be between 1 and {MAX_ORDER}, got {self.max_n}")
         if self.smoothing not in SMOOTHINGS:
             raise ValueError(
                 f"unknown smoothing {self.smoothing!r}; expected one of {SMOOTHINGS}"
             )
+        if not _is_number(self.smooth_k):
+            raise ValueError(f"smooth_k must be an int or a float, got {self.smooth_k!r}")
         if not (math.isfinite(self.smooth_k) and self.smooth_k > 0):
             raise ValueError(f"smooth_k must be finite and > 0, got {self.smooth_k}")
+        if not isinstance(self.tokenizer, TokenizerConfig):
+            raise ValueError(f"tokenizer must be a TokenizerConfig, got {self.tokenizer!r}")
 
 
 class BleuReport(NamedTuple):

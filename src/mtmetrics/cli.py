@@ -14,7 +14,6 @@ signature sufficient to re-run it.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -187,10 +186,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help/--version
         return int(exc.code or 0)
     try:
-        report = _COMMANDS[args.command](args)
-        if isinstance(sys.stdout, io.TextIOWrapper):  # not an in-process io.StringIO
-            sys.stdout.reconfigure(encoding="utf-8")  # whatever the locale says
-        sys.stdout.write(render_report(report, args.format) + "\n")
+        text = render_report(_COMMANDS[args.command](args), args.format) + "\n"
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # an in-process io.StringIO
+            sys.stdout.write(text)
+        else:
+            # UTF-8 whatever the locale says. Under `python -u` the buffer is a
+            # raw FileIO, which may take only part of a write.
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[out.write(data):]
         sys.stdout.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

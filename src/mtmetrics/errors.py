@@ -6,18 +6,23 @@ class InputError(ValueError):
     """
 
 
-class _Checked:
-    """Mixin for a NamedTuple subclass whose fields are checked: the
+def _checked(cls):
+    """Class decorator for a NamedTuple whose fields are checked: the
     constructor, ``_make`` and ``_replace`` (which calls ``_make``) all run
-    the subclass's ``_check``, which raises ValueError on a bad field."""
-
-    __slots__ = ()
+    the class's ``_check``, which raises ValueError on a bad field.
+    ``typing.NamedTuple`` refuses both names in a class body."""
+    build = cls.__new__
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = build(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+def _is_number(value) -> bool:
+    """An int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

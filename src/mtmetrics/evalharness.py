@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ._version import SIGNATURE_VERSION
 from .bleu import BleuConfig, BleuReport, bleu_corpus
-from .errors import InputError, _Checked
+from .errors import InputError, _checked
 from .hlepor import HleporParams, hlepor_sentence
 from .lexmetrics import MeteorParams, meteor_exact, rouge_l_f1
 from .textnorm import TokenizerConfig, tokenize
@@ -34,7 +34,10 @@ TIE = "TIE"
 _SCALES = {"bleu": 100, "hlepor": 100, "meteor": 1, "rouge-l": 1}
 
 
-class _EvalFields(NamedTuple):
+@_checked
+class EvalConfig(NamedTuple):
+    """Everything that can change a score, bundled so it can be disclosed."""
+
     tokenizer: TokenizerConfig = TokenizerConfig()
     hlepor_params: HleporParams = HleporParams()
     meteor_params: MeteorParams = MeteorParams()
@@ -43,14 +46,16 @@ class _EvalFields(NamedTuple):
     smooth_k: float = 1.0
     segment_bleu: bool = False
 
-
-class EvalConfig(_Checked, _EvalFields):
-    """Everything that can change a score, bundled so it can be disclosed."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
-        self.bleu_config()  # raises ValueError on bad BLEU settings
+        self.bleu_config()  # raises ValueError on bad BLEU settings and tokenizer
+        if not isinstance(self.hlepor_params, HleporParams):
+            raise ValueError(
+                f"hlepor_params must be a HleporParams, got {self.hlepor_params!r}")
+        if not isinstance(self.meteor_params, MeteorParams):
+            raise ValueError(
+                f"meteor_params must be a MeteorParams, got {self.meteor_params!r}")
+        if not isinstance(self.segment_bleu, bool):
+            raise ValueError(f"segment_bleu must be a bool, got {self.segment_bleu!r}")
 
     def bleu_config(self) -> BleuConfig:
         return BleuConfig(self.max_n, self.smoothing, self.smooth_k, self.tokenizer)

@@ -18,18 +18,11 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .errors import InputError, _Checked
+from .errors import InputError, _checked, _is_number
 
 
-class _HleporFields(NamedTuple):
-    alpha: float = 9.0
-    beta: float = 1.0
-    w_lp: float = 2.0
-    w_npp: float = 1.0
-    w_hpr: float = 3.0
-
-
-class HleporParams(_Checked, _HleporFields):
+@_checked
+class HleporParams(NamedTuple):
     """The five hLEPOR hyper-parameters.
 
     alpha and beta weight recall vs precision inside the harmonic
@@ -40,10 +33,16 @@ class HleporParams(_Checked, _HleporFields):
     and recall neither overflow nor round to zero.
     """
 
-    __slots__ = ()
+    alpha: float = 9.0
+    beta: float = 1.0
+    w_lp: float = 2.0
+    w_npp: float = 1.0
+    w_hpr: float = 3.0
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
+            if not _is_number(value):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
             if not 1e-300 <= value <= 1e300:
                 raise ValueError(f"{name} must be between 1e-300 and 1e300, got {value}")
 

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from .errors import _Checked
+from .errors import _checked, _is_number
 from .hlepor import align
 
 
@@ -25,18 +25,18 @@ class RougeLScore(NamedTuple):
     lcs_len: int
 
 
-class _MeteorFields(NamedTuple):
+@_checked
+class MeteorParams(NamedTuple):
+    """Recall weight alpha, fragmentation exponent beta, penalty weight gamma."""
+
     alpha: float = 0.9
     beta: float = 3.0
     gamma: float = 0.5
 
-
-class MeteorParams(_Checked, _MeteorFields):
-    """Recall weight alpha, fragmentation exponent beta, penalty weight gamma."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            if not _is_number(value):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):

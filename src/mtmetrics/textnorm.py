@@ -39,7 +39,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from ._kernels import Codes
-from .errors import _Checked
+from .errors import _checked
 
 SCHEMES = ("13a", "whitespace", "none")
 
@@ -63,21 +63,20 @@ def _space_before_both(match: re.Match) -> str:
     return " " + match[1] + " " + match[2]
 
 
-class _TokenizerFields(NamedTuple):
-    scheme: str = "13a"
-    lowercase: bool = True
-
-
-class TokenizerConfig(_Checked, _TokenizerFields):
+@_checked
+class TokenizerConfig(NamedTuple):
     """Tokenization scheme plus casing; immutable so results reproduce."""
 
-    __slots__ = ()
+    scheme: str = "13a"
+    lowercase: bool = True
 
     def _check(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"unknown tokenizer scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
+        if not isinstance(self.lowercase, bool):
+            raise ValueError(f"lowercase must be a bool, got {self.lowercase!r}")
 
 
 def _normalize_13a(text: str) -> str:

@@ -290,26 +290,30 @@ def test_internal_error_exits_1(parallel_files, monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_module_runs_as_a_script(tmp_path):
-    # `python -m mtmetrics.cli` exits with the code of main().
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "mtmetrics.cli", "matrix", "--scores",
-                           str(tmp_path / "missing.json")], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: --scores: file not found")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def module_env(changes=None):
+    """This process's environment with `changes` applied, where a None value
+    unsets a variable, and this checkout's package first on PYTHONPATH."""
+    env = {**os.environ, **(changes or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def run_module(args, **kwargs):
     """Run `python -m mtmetrics.cli ARGS` on this checkout's package; an `env`
-    keyword adds to the environment."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, **kwargs.pop("env", {}),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "mtmetrics.cli", *args], env=env,
-                          timeout=60, **kwargs)
+    keyword changes the environment as `module_env` does."""
+    return subprocess.run([sys.executable, "-m", "mtmetrics.cli", *args],
+                          env=module_env(kwargs.pop("env", None)), timeout=60, **kwargs)
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m mtmetrics.cli` exits with the code of main().
+    proc = run_module(["matrix", "--scores", str(tmp_path / "missing.json")],
+                      capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --scores: file not found")
 
 
 def test_reader_that_closed_stdout_exits_141_quietly(parallel_files):
@@ -324,6 +328,92 @@ def test_reader_that_closed_stdout_exits_141_quietly(parallel_files):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_reader_that_exits_after_one_byte_gives_141_quietly(tmp_path, unbuffered):
+    # The report is far larger than a pipe buffer, so the reader goes while a
+    # write is under way. Under PYTHONUNBUFFERED=1 that write is cut short, and
+    # a writer that takes the short count for the whole write drops the rest
+    # of the report and exits 0.
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({"rows": [
+        {"system": "A", "task": f"t{i}", "metric": "bleu", "value": i} for i in range(30000)
+    ]}), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mtmetrics.cli", "matrix", "--scores", str(path),
+         "--format", "json"],
+        env=module_env({"PYTHONUNBUFFERED": unbuffered}),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b""
+
+
+# Settings under which every stdout byte must stay that of a run whose
+# environment has no PYTHON* or locale variable.
+ENVIRONMENTS = ["PYTHONOPTIMIZE=2", "PYTHONWARNINGS=error", "PYTHONUTF8=1",
+                "LC_ALL=C PYTHONUTF8=0", "PYTHONIOENCODING=latin-1", "PYTHONHASHSEED=7",
+                "PYTHONINTMAXSTRDIGITS=640", "PYTHONUNBUFFERED=1"]
+# Runs the CLI on this checkout's package without PYTHONPATH: `SRC ARGS...`.
+_RUN_CLI = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "from mtmetrics.cli import main; sys.exit(main())")
+
+
+def json_reports(commands, cwd, assignments=""):
+    """Each command's stdout, in an environment without PYTHON* or locale
+    variables, plus the `NAME=VALUE` assignments given."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith(("PYTHON", "LC_", "LANG"))}
+    env.update(item.split("=", 1) for item in assignments.split())
+    outputs = []
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, SRC, *args], cwd=cwd,
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def non_ascii_reports(tmp_path_factory):
+    """`compare` and `matrix` JSON commands on non-ASCII inputs, their
+    directory, and their stdout in a clean environment."""
+    root = tmp_path_factory.mktemp("non_ascii")
+    write_lines(root / "ref.txt",
+                ["Der Bär aß Crème brûlée.", "Ça coûte 3,50 € — «cher»!", "東京は晴れ。",
+                 "Ωmega & ﬁn"])
+    write_lines(root / "before.txt",
+                ["Der Baer ass Creme brulee.", "Ça coûte 3,50 €!", "東京 は 雨", "omega and fin"])
+    write_lines(root / "after.txt",
+                ["Der Bär aß crème brûlée .", "ÇA COÛTE 3,50 € «cher» !", "東京は晴れ。",
+                 "Ωmega &amp; ﬁn"])
+    (root / "scores.json").write_text(json.dumps({"rows": [
+        {"system": "Çedille", "task": "tâche-1", "metric": "BLEU", "value": 2.0},
+        {"system": "Øst", "task": "tâche-1", "metric": "BLEU", "value": 1.0},
+        {"system": "Çedille", "task": "tâche-1", "metric": "ROUGE-L", "value": 0.5},
+        {"system": "Øst", "task": "tâche-1", "metric": "ROUGE-L", "value": 0.75},
+    ]}, ensure_ascii=False), encoding="utf-8")
+    commands = [
+        ["compare", "--before", "before.txt", "--after", "after.txt", "--ref", "ref.txt",
+         "--format", "json"],
+        ["matrix", "--scores", "scores.json", "--format", "json"],
+    ]
+    clean = json_reports(commands, root)
+    assert "Çedille".encode("utf-8") in clean[1]
+    return commands, root, clean
+
+
+@pytest.mark.parametrize("assignments", ENVIRONMENTS)
+def test_environment_variables_change_no_output_byte(non_ascii_reports, assignments):
+    commands, root, clean = non_ascii_reports
+    assert json_reports(commands, root, assignments) == clean
 
 
 def test_stdout_is_utf8_whatever_the_stdout_encoding(tmp_path):

@@ -27,9 +27,10 @@ from mtmetrics.evalharness import (
     winner_matrix,
 )
 from oracles import UndecodableLine, bf_winner_matrix, ref_read_lines
-from mtmetrics.hlepor import HleporParams, align, hlepor_sentence
+from mtmetrics.bleu import SMOOTHINGS
+from mtmetrics.hlepor import PRESETS, HleporParams, align, hlepor_sentence
 from mtmetrics.lexmetrics import MeteorParams, lcs_length, meteor_exact, rouge_l_f1
-from mtmetrics.textnorm import TokenizerConfig, extract_ngrams, tokenize
+from mtmetrics.textnorm import SCHEMES, TokenizerConfig, extract_ngrams, tokenize
 
 VOCAB = ("a", "b", "c", "d", "e")
 # Relabelling targets: multi-character, non-ASCII and reused source forms, so
@@ -242,3 +243,40 @@ def test_signature_numbers_read_back_as_the_settings(hlepor_params, meteor_param
     assert tuple(map(float, parts["hlepor"].split(","))) == hlepor_params
     assert tuple(map(float, parts["meteor"].split(","))) == meteor_params
     assert float(parts["smooth"].removeprefix("add-k(").removesuffix(")")) == smooth_k
+
+
+# Mixed case, entities, punctuation next to digits and letters, non-ASCII and
+# an empty hypothesis, so that every tokenizer setting moves some score.
+MIXED_HYPS = ["The cat sat on the Mat.", "A dog, ran HOME!", "Prices rose 3.4% (from 1,200).",
+              "", "naïve Café &amp; co-op", "the the the cat"]
+MIXED_REFS = ["the cat is on the mat .", "A dog ran home!",
+              "Prices rose 3.4% (from 1,200 to 1,241).", "Nothing here.", "Naïve café & co-op",
+              "The cat"]
+SETTINGS = {
+    "tokenizer": st.builds(TokenizerConfig, st.sampled_from(SCHEMES), st.booleans()),
+    "hlepor_params": st.sampled_from(sorted(set(PRESETS.values()))),
+    "meteor_params": st.sampled_from([MeteorParams(), MeteorParams(0.5, 3.0, 0.5),
+                                      MeteorParams(0.9, 1.0, 0.0)]),
+    "max_n": st.sampled_from((1, 2, 4)),
+    "smoothing": st.sampled_from(SMOOTHINGS),
+    "smooth_k": st.sampled_from((0.5, 1.0, 2.0)),
+    "segment_bleu": st.booleans(),
+}
+
+
+def _scores(config):
+    report = evaluate_pairs(MIXED_HYPS, MIXED_REFS, METRICS, config)
+    return report.metrics, report.bleu_report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries(SETTINGS),
+       st.sampled_from(sorted(SETTINGS)).flatmap(
+           lambda name: SETTINGS[name].map(lambda value: {name: value})))
+def test_equal_signatures_give_equal_scores(settings_, changes):
+    # The second config redraws one of the first's settings, so that a setting
+    # left out of the signature shows as two scores under one signature.
+    config = EvalConfig(**settings_)
+    other = config._replace(**changes)
+    if run_signature(METRICS, config) == run_signature(METRICS, other):
+        assert _scores(config) == _scores(other)

@@ -4,6 +4,7 @@ checked fields on every construction path."""
 import pytest
 
 from mtmetrics import (
+    METRICS,
     BleuConfig,
     BleuReport,
     ComparisonReport,
@@ -24,6 +25,7 @@ from mtmetrics import (
     rouge_l_f1,
     winner_matrix,
 )
+from mtmetrics.evalharness import run_signature
 
 # Report JSON takes its key order from these, through ``_asdict()``.
 FIELDS = {
@@ -82,6 +84,36 @@ BAD = [
     (MeteorParams, {"beta": float("nan"), "gamma": 1.0}, "beta must be finite and > 0, got nan"),
     (MeteorParams, {"gamma": 1.0}, "gamma must be in [0, 1), got 1.0"),
 ]
+# (type, field, a value of the wrong type, the ValueError message). Each of
+# these would otherwise be accepted, or fail later with a TypeError or an
+# AttributeError. An int passes where a float is expected.
+WRONG_TYPES = [
+    (TokenizerConfig, "lowercase", "no", "lowercase must be a bool, got 'no'"),
+    (BleuConfig, "max_n", True, "max_n must be an int, got True"),
+    (BleuConfig, "max_n", 4.0, "max_n must be an int, got 4.0"),
+    (BleuConfig, "smooth_k", "1", "smooth_k must be an int or a float, got '1'"),
+    (BleuConfig, "smooth_k", True, "smooth_k must be an int or a float, got True"),
+    (BleuConfig, "tokenizer", ("13a", True),
+     "tokenizer must be a TokenizerConfig, got ('13a', True)"),
+    (HleporParams, "alpha", "9", "alpha must be an int or a float, got '9'"),
+    (HleporParams, "w_hpr", False, "w_hpr must be an int or a float, got False"),
+    (MeteorParams, "alpha", "0.5", "alpha must be an int or a float, got '0.5'"),
+    (MeteorParams, "gamma", None, "gamma must be an int or a float, got None"),
+    (EvalConfig, "tokenizer", None, "tokenizer must be a TokenizerConfig, got None"),
+    (EvalConfig, "hlepor_params", (9.0, 1.0, 2.0, 1.0, 3.0),
+     "hlepor_params must be a HleporParams, got (9.0, 1.0, 2.0, 1.0, 3.0)"),
+    (EvalConfig, "meteor_params", (0.9, 3.0, 0.5),
+     "meteor_params must be a MeteorParams, got (0.9, 3.0, 0.5)"),
+    (EvalConfig, "max_n", True, "max_n must be an int, got True"),
+    (EvalConfig, "segment_bleu", 1, "segment_bleu must be a bool, got 1"),
+]
+CASES = [
+    *(pytest.param(cls, bad, message, id=f"{cls.__name__}-{'-'.join(bad)}")
+      for cls, bad, message in BAD),
+    *(pytest.param(cls, {name: value}, message,
+                   id=f"{cls.__name__}-{name}-{type(value).__name__}")
+      for cls, name, value, message in WRONG_TYPES),
+]
 
 PATHS = {
     "constructor": lambda cls, bad: cls(**bad),
@@ -108,8 +140,7 @@ def test_records_are_immutable(cls):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize(("cls", "bad", "message"), BAD,
-                         ids=[f"{cls.__name__}-{'-'.join(bad)}" for cls, bad, _ in BAD])
+@pytest.mark.parametrize(("cls", "bad", "message"), CASES)
 def test_every_construction_path_checks_fields(path, cls, bad, message):
     with pytest.raises(ValueError) as exc_info:
         PATHS[path](cls, bad)
@@ -122,3 +153,19 @@ def test_good_values_pass_every_construction_path(cls):
     default = cls()
     assert cls._make(default) == default._replace() == default
     assert type(cls._make(default)) is type(default._replace()) is cls
+
+
+@pytest.mark.parametrize("cls", dict.fromkeys(cls for cls, _, _ in BAD),
+                         ids=lambda cls: cls.__name__)
+def test_settings_types_are_one_class(cls):
+    assert type(cls()).__mro__ == (cls, tuple, object)
+
+
+def test_int_parameters_sign_and_score_like_floats():
+    ints = EvalConfig(hlepor_params=HleporParams(9, 1, 2, 1, 3),
+                      meteor_params=MeteorParams(beta=3), smoothing="add-k", smooth_k=2)
+    floats = EvalConfig(smoothing="add-k", smooth_k=2.0)
+    hyps, refs = ["the cat sat on a mat", "a dog"], ["the cat sat on the mat", "the dog"]
+    assert run_signature(METRICS, ints) == run_signature(METRICS, floats)
+    assert (evaluate_pairs(hyps, refs, METRICS, ints).metrics
+            == evaluate_pairs(hyps, refs, METRICS, floats).metrics)
